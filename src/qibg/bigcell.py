@@ -1,20 +1,28 @@
-"""Exact UL factorization over Q, corner minors, and unipotent class splits.
+"""Big-cell membership, exact UL factorization, and unipotent class splits.
 
 A square rational matrix g lies in the big cell exactly when every
 bottom-right corner minor is nonzero; there it factors uniquely as
 g = u_plus * p_minus with u_plus upper unitriangular and p_minus lower
-triangular.  The factorization is computed with exact rational elimination,
-so "equal" always means equal.
+triangular.  One fraction-free (Bareiss) elimination from the bottom-right
+corner yields all of this at once: its pivots are the corner minors, and
+the integers it leaves above and below the diagonal are the numerators of
+u_plus and p_minus over consecutive minors.  Rational input is scaled to an
+integer matrix by the least common denominator first.  Every division in the
+pass is exact, so "equal" always means equal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import (as_matrix, determinant, identity, log_abs, log_sup_norm,
-                       multiply, sup_norm)
+from .exactmat import (_exact_div, as_matrix, determinant, identity, log_abs,
+                       log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class NotInBigCell(ValueError):
@@ -50,50 +58,123 @@ class BoundReport:
         return self.denominators_divide and self.norm_bound_ok
 
 
-def corner_minors(g) -> tuple:
-    """Determinants of the bottom-right j x j submatrices, j = 1..n-1."""
+def _integer_rows(g) -> tuple:
+    """(h, scale): h = scale * g as an integer matrix, scale the least common
+    denominator of the entries (1 for integer input)."""
     g = as_matrix(g)
-    n = len(g)
+    if all(isinstance(e, int) for row in g for e in row):
+        return g, 1
+    rows = [[Fraction(e) for e in row] for row in g]
+    scale = math.lcm(*(e.denominator for row in rows for e in row))
+    return tuple(tuple(int(e * scale) for e in row) for row in rows), scale
+
+
+def _bareiss_ul(m: list) -> list:
+    """Fraction-free elimination of the integer matrix m from its bottom-right
+    corner, in place, without pivoting; returns m.
+
+    With D_j the determinant of the corner of size n - j, and D_n = 1:
+    m[j][j] = D_j; u_plus[i][j] = m[i][j] / D_j for i < j; and
+    p_minus[k][c] = m[k][c] / D_{k+1} for c < k, p_minus[k][k] = D_k / D_{k+1}.
+    A zero pivot D_j with j >= 1 raises NotInBigCell; m[j][j] then holds that
+    zero minor and the diagonal below it the smaller corner minors.
+    """
+    n = len(m)
+    prev = 1
+    for j in range(n - 1, 0, -1):
+        pivot_row = m[j]
+        p = pivot_row[j]
+        if p == 0:
+            raise NotInBigCell(f"corner minor of size {n - j} vanishes")
+        for i in range(j):
+            row = m[i]
+            f = row[j]
+            for c in range(j):
+                row[c] = _exact_div(row[c] * p - f * pivot_row[c], prev)
+        prev = p
+    return m
+
+
+def _reassembles(m, h) -> bool:
+    """Integer-only check that the pass m factors h exactly.
+
+    With U~ the upper and L~ the lower triangle of m (sharing the diagonal of
+    minors), h = U~ * diag(1 / (D_k * D_{k+1})) * L~; both sides are scaled by
+    P = prod_k D_k * D_{k+1} so that every entry is compared as an integer.
+    """
+    n = len(m)
+    minors = [m[k][k] for k in range(n)] + [1]
+    pair = [minors[k] * minors[k + 1] for k in range(n)]
+    total = math.prod(pair)
+    weight = [total // d for d in pair]
+    return all(
+        sum(m[i][k] * weight[k] * m[k][c] for k in range(max(i, c), n))
+        == total * h[i][c]
+        for i in range(n) for c in range(n))
+
+
+def _factor(g) -> tuple:
+    """(m, factorization): one kernel pass over g and the UL factors read off it."""
+    h, scale = _integer_rows(g)
+    n = len(h)
+    m = _bareiss_ul([list(row) for row in h])
+    if m[0][0] == 0:
+        raise ValueError("matrix is singular")
+    assert _reassembles(m, h)
+    minors = [m[k][k] for k in range(n)] + [1]
+    u_plus = tuple(
+        tuple(Fraction(m[i][j], minors[j]) if j > i else _ONE if j == i else _ZERO
+              for j in range(n))
+        for i in range(n))
+    p_minus = tuple(
+        tuple(Fraction(m[k][c], minors[k + 1] * scale) if c <= k else _ZERO
+              for c in range(n))
+        for k in range(n))
+    return m, BigCellFactorization(u_plus, p_minus)
+
+
+def corner_minors(g) -> tuple:
+    """Determinants of the bottom-right j x j submatrices, j = 1..n-1.
+
+    They are the pivots of one kernel pass.  A vanishing pivot stops the
+    pass; the larger corners then get a determinant each.
+    """
+    h, scale = _integer_rows(g)
+    n = len(h)
+    m = [list(row) for row in h]
+    try:
+        _bareiss_ul(m)
+    except NotInBigCell:
+        pass
     out = []
-    for j in range(1, n):
-        sub = tuple(row[n - j:] for row in g[n - j:])
-        out.append(determinant(sub))
-    return tuple(out)
+    for j in range(n - 1, 0, -1):
+        out.append(m[j][j])
+        if m[j][j] == 0:
+            break
+    out += [determinant(tuple(row[j:] for row in h[j:]))
+            for j in range(n - 1 - len(out), 0, -1)]
+    if scale == 1:
+        return tuple(out)
+    return tuple(Fraction(d, scale ** size) for size, d in enumerate(out, 1))
 
 
 def in_big_cell(g) -> bool:
     """True iff every corner minor is nonzero; raises on singular input."""
-    g = as_matrix(g)
-    if determinant(g) == 0:
+    h, _ = _integer_rows(g)
+    try:
+        det = _bareiss_ul([list(row) for row in h])[0][0]
+        member = True
+    except NotInBigCell:
+        det = determinant(h)  # the pass stopped short of the full minor
+        member = False
+    if det == 0:
         raise ValueError("matrix is singular")
-    return all(m != 0 for m in corner_minors(g))
+    return member
 
 
 def ul_factorize(g) -> BigCellFactorization:
     """Exact g = u_plus * p_minus, or NotInBigCell when a corner minor vanishes."""
-    g = as_matrix(g)
-    n = len(g)
-    m = [[Fraction(e) for e in row] for row in g]
-    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # Clear above-diagonal entries column by column from the right; the j-th
-    # pivot is the ratio of consecutive corner minors, so a zero pivot is
-    # exactly a vanishing minor.
-    for j in range(n - 1, 0, -1):
-        if m[j][j] == 0:
-            raise NotInBigCell(f"corner minor of size {n - j} vanishes")
-        for i in range(j):
-            f = m[i][j] / m[j][j]
-            if f:
-                for c in range(n):
-                    m[i][c] -= f * m[j][c]
-                    u[c][j] += f * u[c][i]
-    if m[0][0] == 0:
-        raise ValueError("matrix is singular")
-    u_plus = tuple(tuple(row) for row in u)
-    p_minus = tuple(tuple(row) for row in m)
-    assert multiply(u_plus, p_minus) == tuple(
-        tuple(Fraction(e) for e in row) for row in g)
-    return BigCellFactorization(u_plus, p_minus)
+    return _factor(g)[1]
 
 
 def denominator_and_norm_check(gamma) -> BoundReport:
@@ -103,17 +184,15 @@ def denominator_and_norm_check(gamma) -> BoundReport:
     n = len(gamma)
     if any(not isinstance(e, int) for row in gamma for e in row):
         raise ValueError("expected an integer matrix")
-    minors = corner_minors(gamma)
-    if any(m == 0 for m in minors):
-        raise NotInBigCell("input is outside the big cell")
-    fac = ul_factorize(gamma)
-    product = 1
-    for m in minors:
-        product *= m
+    try:
+        m, fac = _factor(gamma)
+    except NotInBigCell:
+        raise NotInBigCell("input is outside the big cell") from None
+    minors = tuple(m[j][j] for j in range(n - 1, 0, -1))
+    product = math.prod(minors)
     power = abs(product) ** n
     denominators = tuple(sorted({
-        Fraction(e).denominator
-        for mat in (fac.u_plus, fac.p_minus) for row in mat for e in row}))
+        e.denominator for mat in (fac.u_plus, fac.p_minus) for row in mat for e in row}))
     denominators_divide = all(power % q == 0 for q in denominators)
     log_in = max(0.0, log_sup_norm(gamma))
     log_p = log_abs(sup_norm(fac.p_minus))

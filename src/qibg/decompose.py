@@ -10,10 +10,13 @@ once annihilated stays annihilated, and the runtime counter verifies it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigcell import ul_factorize
+from .bigcell import NotInBigCell, ul_factorize
+# determinant is no longer called here, but stays importable: the
+# benchmark's tracer (perfbench/tracer.py) wraps qibg.decompose.determinant.
 from .exactmat import (as_matrix, check_unimodular, determinant, identity,
                        log_abs, log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions, sl_class_ordering
@@ -146,15 +149,6 @@ def _annihilator_block(s: Fraction):
     return ((a, num), (c, den))
 
 
-def _minors_nonzero_int(rows) -> bool:
-    n = len(rows)
-    for j in range(1, n):
-        sub = tuple(tuple(row[n - j:]) for row in rows[n - j:])
-        if determinant(sub) == 0:
-            return False
-    return True
-
-
 def decompose_clockwise(matrix, ordering: ClassOrdering | None = None) -> Factorization:
     fac, _ = clockwise_with_diagnostics(matrix, ordering)
     return fac
@@ -164,9 +158,10 @@ def clockwise_with_diagnostics(matrix, ordering: ClassOrdering | None = None):
     """Clockwise class annihilation; returns the factorization and counters.
 
     Requires an A_{n-1} ordering whose positive system is the standard one.
-    For inputs outside the big cell a preliminary column sweep moves the
-    matrix into it (the sweep output is unipotent, where every corner minor
-    is 1); the class annihilation then runs unchanged.
+    The first class's UL factorization decides big-cell membership.  For
+    inputs outside the big cell a preliminary column sweep moves the matrix
+    into it (the sweep output is unipotent, where every corner minor is 1);
+    the class annihilation then runs unchanged.
     """
     m = check_unimodular(as_matrix(matrix))
     n = len(m)
@@ -183,13 +178,16 @@ def clockwise_with_diagnostics(matrix, ordering: ClassOrdering | None = None):
 
     rows = [list(r) for r in m]
     factors = []
-    if not _minors_nonzero_int(rows):
-        diag.omega_fallback = True
-        _column_sweep(rows, factors.append)
-
     done: list[tuple[int, int]] = []
     for a, b in positions:
-        u_plus = ul_factorize(tuple(tuple(r) for r in rows)).u_plus
+        try:
+            u_plus = ul_factorize(tuple(tuple(r) for r in rows)).u_plus
+        except NotInBigCell:
+            if done:
+                raise
+            diag.omega_fallback = True
+            _column_sweep(rows, factors.append)
+            u_plus = ul_factorize(tuple(tuple(r) for r in rows)).u_plus
         for pa, pb in done:
             if u_plus[pa - 1][pb - 1] != 0:
                 diag.reannihilations += 1
@@ -222,14 +220,28 @@ def clockwise_with_diagnostics(matrix, ordering: ClassOrdering | None = None):
     return fac, diag
 
 
+def _power_or_inf(base: float, exponent: int) -> float:
+    """base ** exponent as a float, or +inf where it exceeds the largest float.
+
+    Every log norm compared against such a bound is a finite float, so an
+    infinite bound decides each comparison exactly as the true one would.
+    """
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def guaranteed_log_norm_bound(n: int, matrix) -> float:
-    """Per-factor log-norm ceiling 2^(n^2-n) * max(1, log(n * |matrix|))."""
-    return (2.0 ** (n * n - n)) * max(1.0, log_abs(n * sup_norm(matrix)))
+    """Per-factor log-norm ceiling 2^(n^2-n) * max(1, log(n * |matrix|));
+    +inf once the ceiling exceeds the largest float (n >= 33)."""
+    return _power_or_inf(2.0, n * n - n) * max(1.0, log_abs(n * sup_norm(matrix)))
 
 
 def _check_norm_control(m, fac: Factorization, base: float, extra_exponent: int = 0) -> None:
     n = fac.n
-    bound = (base ** (n * n - n + extra_exponent)) * max(1.0, log_abs(n * sup_norm(m)))
+    bound = (_power_or_inf(base, n * n - n + extra_exponent)
+             * max(1.0, log_abs(n * sup_norm(m))))
     for f in fac.factors:
         worst = max(1, max(abs(e) for row in f.block for e in row))
         if log_abs(worst) > bound:

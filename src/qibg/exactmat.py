@@ -70,15 +70,6 @@ def determinant(a):
     return sign * m[n - 1][n - 1]
 
 
-def is_unimodular(a) -> bool:
-    a = as_matrix(a)
-    if len(a) < 2:
-        return False
-    if any(not isinstance(e, int) for row in a for e in row):
-        return False
-    return determinant(a) == 1
-
-
 def check_unimodular(a) -> Matrix:
     """Return ``a`` as a matrix, raising if it is not in SL(n,Z) with n >= 2."""
     a = as_matrix(a)

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qibg import bigcell as bc
 from qibg import exactmat as em
@@ -156,6 +159,134 @@ def test_bound_report_requires_membership():
 def test_bound_report_requires_integrality():
     with pytest.raises(ValueError):
         bc.denominator_and_norm_check(((Fraction(1, 2), 0), (0, 2)))
+
+
+# --- the fraction-free kernel against independent oracles ----------------------
+
+
+def _fraction_ul(g):
+    """The Fraction elimination the kernel replaced, kept as a test oracle."""
+    n = len(g)
+    m = [[Fraction(e) for e in row] for row in g]
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n - 1, 0, -1):
+        if m[j][j] == 0:
+            raise bc.NotInBigCell(f"corner minor of size {n - j} vanishes")
+        for i in range(j):
+            f = m[i][j] / m[j][j]
+            if f:
+                for c in range(n):
+                    m[i][c] -= f * m[j][c]
+                    u[c][j] += f * u[c][i]
+    if m[0][0] == 0:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row) for row in u), tuple(tuple(row) for row in m)
+
+
+def _sympy_minors(g):
+    """Corner determinants of every size 1..n, smallest corner first."""
+    n = len(g)
+    return [sympy.Matrix([row[n - s:] for row in g[n - s:]]).det()
+            for s in range(1, n + 1)]
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except ValueError as e:  # NotInBigCell included
+        return type(e), str(e)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Random integer matrices, n = 2..7, with a share made singular or made
+    to leave the big cell at a chosen corner."""
+    n = draw(st.integers(2, 7))
+    bound = draw(st.sampled_from((1, 3, 50)))
+    rows = [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
+    defect = draw(st.sampled_from(("none", "corner", "singular")))
+    if defect == "corner":
+        j = n - draw(st.integers(1, n - 1))  # the corner rows j..n-1 turn dependent
+        if j == n - 1:
+            rows[j][j] = 0
+        else:
+            rows[n - 1][j:] = rows[j][j:]
+    elif defect == "singular":
+        a, b = draw(st.permutations(range(n)))[:2]
+        t = draw(st.integers(-2, 2))
+        rows[b] = [t * x for x in rows[a]]
+    return tuple(tuple(row) for row in rows)
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_kernel_minors_match_sympy(g):
+    minors = bc.corner_minors(g)
+    assert all(isinstance(d, int) for d in minors)
+    assert list(minors) == _sympy_minors(g)[:-1]
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_kernel_membership_agrees_with_minors(g):
+    *corners, det = _sympy_minors(g)
+    if det == 0:
+        with pytest.raises(ValueError, match="singular"):
+            bc.in_big_cell(g)
+    else:
+        assert bc.in_big_cell(g) == all(corners)
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_kernel_ul_matches_fraction_elimination(g):
+    want = _outcome(_fraction_ul, g)
+    got = _outcome(bc.ul_factorize, g)
+    if isinstance(got, bc.BigCellFactorization):
+        assert (got.u_plus, got.p_minus) == want
+        assert sympy.Matrix(got.u_plus) * sympy.Matrix(got.p_minus) == sympy.Matrix(g)
+    else:
+        assert got == want
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_kernel_reports_the_smallest_vanishing_corner(g):
+    corners = _sympy_minors(g)[:-1]
+    if all(corners):
+        return
+    size = corners.index(0) + 1
+    with pytest.raises(bc.NotInBigCell, match=f"^corner minor of size {size} vanishes$"):
+        bc.ul_factorize(g)
+    with pytest.raises(bc.NotInBigCell, match="outside the big cell"):
+        bc.denominator_and_norm_check(g)
+
+
+@PROPERTY
+@given(integer_matrices(), st.integers(1, 12))
+def test_kernel_rational_input_matches_fraction_elimination(g, q):
+    scaled = tuple(tuple(Fraction(e, q + i) for i, e in enumerate(row)) for row in g)
+    assert list(bc.corner_minors(scaled)) == _sympy_minors(scaled)[:-1]
+    got = _outcome(bc.ul_factorize, scaled)
+    if isinstance(got, bc.BigCellFactorization):
+        got = (got.u_plus, got.p_minus)
+    assert got == _outcome(_fraction_ul, scaled)
+
+
+def test_kernel_self_check_rejects_any_wrong_numerator():
+    g = em.random_word(5, 40, 3)
+    h = [list(row) for row in g]
+    m = bc._bareiss_ul([list(row) for row in g])
+    assert bc._reassembles(m, h)
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                m[i][j] += 1
+                assert not bc._reassembles(m, h)
+                m[i][j] -= 1
 
 
 # --- unipotent class splits -----------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -239,6 +240,22 @@ def test_guaranteed_bound_holds_everywhere():
         for fac in (dc.decompose_column_major(m), dc.decompose_clockwise(m)):
             st = dc.quasi_isometry_stats(m, fac)
             assert all(v <= bound for v in st.per_factor_log_norms)
+
+
+def test_clockwise_past_the_float_norm_ceiling():
+    # the clockwise bound (2n+4)^(n^2-n+1) exceeds the largest float from n=15
+    m = em.random_word(16, 40, 16)
+    fac = dc.decompose_clockwise(m)
+    assert dc.verify(m, fac).all_ok
+
+
+def test_column_major_past_the_float_norm_ceiling():
+    # the column-major bound 2^(n^2-n) exceeds the largest float from n=33
+    m = em.random_word(33, 6, 33)
+    fac = dc.decompose_column_major(m)
+    assert dc.verify(m, fac).all_ok
+    assert dc.guaranteed_log_norm_bound(33, m) == math.inf
+    assert dc.guaranteed_log_norm_bound(32, m) == 2.0 ** (32 * 31) * math.log(32 * em.sup_norm(m))
 
 
 # --- serialization -------------------------------------------------------------------

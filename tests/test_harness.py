@@ -60,6 +60,11 @@ def test_clockwise_campaign_runs():
     assert len(rep.samples) == 20
 
 
+def test_campaign_past_the_float_norm_ceiling():
+    rep = hn.run_campaign(hn.CampaignConfig(33, (3,), 1, 5))
+    assert len(rep.samples) == 1 and rep.violations == 0
+
+
 def test_mutated_verifier_aborts_campaign(monkeypatch):
     real_verify = dc.verify
 

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import (_exact_div, as_matrix, determinant, identity, log_abs,
-                       log_sup_norm, multiply, sup_norm)
+from .exactmat import (_exact_div, as_matrix, determinant, exact_to_str, identity,
+                       log_abs, log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions
 
 _ZERO = Fraction(0)
@@ -269,7 +269,7 @@ def _check_support(mat, allowed) -> None:
 
 def factorization_to_json(fac: BigCellFactorization) -> dict:
     def enc(mat):
-        return [[str(Fraction(e)) for e in row] for row in mat]
+        return [[exact_to_str(e) for e in row] for row in mat]
 
     return {
         "n": len(fac.u_plus),
@@ -280,9 +280,9 @@ def factorization_to_json(fac: BigCellFactorization) -> dict:
 
 def bound_report_to_json(rep: BoundReport) -> dict:
     return {
-        "minors": [str(m) for m in rep.minors],
-        "minor_product": str(rep.minor_product),
-        "denominators": [str(q) for q in rep.denominators],
+        "minors": [exact_to_str(m) for m in rep.minors],
+        "minor_product": exact_to_str(rep.minor_product),
+        "denominators": [exact_to_str(q) for q in rep.denominators],
         "denominators_divide": rep.denominators_divide,
         "log_norm_input": rep.log_norm_input,
         "log_norm_p_minus": rep.log_norm_p_minus,

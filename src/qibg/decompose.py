@@ -17,8 +17,8 @@ from fractions import Fraction
 from .bigcell import NotInBigCell, ul_factorize
 # determinant is no longer called here, but stays importable: the
 # benchmark's tracer (perfbench/tracer.py) wraps qibg.decompose.determinant.
-from .exactmat import (as_matrix, check_unimodular, determinant, identity,
-                       log_abs, log_sup_norm, multiply, sup_norm)
+from .exactmat import (as_matrix, check_unimodular, determinant, exact_from_str, exact_to_str,
+                       identity, log_abs, log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions, sl_class_ordering
 from .sl2 import block_det, block_inverse, ext_gcd, gcd_transform
 
@@ -295,7 +295,7 @@ def factorization_to_json(fac: Factorization) -> dict:
         "strategy": fac.strategy,
         "factors": [
             {"k": f.k, "l": f.l,
-             "block": [[str(e) for e in row] for row in f.block]}
+             "block": [[exact_to_str(e) for e in row] for row in f.block]}
             for f in fac.factors
         ],
     }
@@ -310,7 +310,7 @@ def factorization_from_json(obj) -> Factorization:
         raise ValueError("invalid dimension or strategy")
     factors = []
     for f in obj["factors"]:
-        block = tuple(tuple(int(str(e), 10) for e in row) for row in f["block"])
+        block = tuple(tuple(exact_from_str(e) for e in row) for row in f["block"])
         if len(block) != 2 or any(len(r) != 2 for r in block):
             raise ValueError("blocks must be 2x2")
         factors.append(BlockFactor(int(f["k"]), int(f["l"]), block))

@@ -9,7 +9,10 @@ helpers used for norm statistics.
 from __future__ import annotations
 
 import math
+import operator
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 Matrix = tuple  # n x n tuple of row tuples
@@ -168,10 +171,40 @@ def random_word(n: int, length: int, seed: int) -> Matrix:
 # {"n": int, "entries": [[string, ...], ...]}  with exact decimal ("p") or
 # rational ("p/q") strings, row-major.  Round-trips exactly.
 
+_EXACT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def exact_to_str(x) -> str:
+    """Exact text of an int ("p") or of a Fraction ("p/q" unless integral).
+    Digits go through Decimal, because str(int) refuses more than 4300."""
+    if isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
+    else:
+        num, den = operator.index(x), 1
+    text = str(Decimal(num))
+    return text if den == 1 else f"{text}/{Decimal(den)}"
+
+
+def exact_from_str(text, rational: bool = False):
+    """Parse what ``exact_to_str`` writes: ASCII ``-?[0-9]+``, or also
+    ``-?[0-9]+/[0-9]+`` when ``rational``.  Returns an int, or a Fraction when
+    ``rational``; any other text, or a zero denominator, raises ValueError."""
+    match = _EXACT_TEXT.fullmatch(text) if isinstance(text, str) else None
+    if match is None or (match[2] and not rational):
+        kind = "rational" if rational else "integer"
+        raise ValueError(f"not an exact {kind}: {str(text)[:40]!r}")
+    num = int(Decimal(match[1]))
+    if not rational:
+        return num
+    den = int(Decimal(match[2] or "1"))
+    if den == 0:
+        raise ValueError(f"zero denominator: {text[:40]!r}")
+    return Fraction(num, den)
+
 
 def matrix_to_json(a) -> dict:
     a = as_matrix(a)
-    return {"n": len(a), "entries": [[str(e) for e in row] for row in a]}
+    return {"n": len(a), "entries": [[exact_to_str(e) for e in row] for row in a]}
 
 
 def matrix_from_json(obj, rational: bool = False) -> Matrix:
@@ -179,14 +212,7 @@ def matrix_from_json(obj, rational: bool = False) -> Matrix:
         raise ValueError("matrix JSON needs 'n' and 'entries'")
     n = obj["n"]
     entries = obj["entries"]
-    if not isinstance(n, int) or n < 1 or len(entries) != n:
+    if (not isinstance(n, int) or n < 1 or len(entries) != n
+            or any(len(row) != n for row in entries)):
         raise ValueError("matrix JSON has inconsistent dimensions")
-    rows = []
-    for row in entries:
-        if len(row) != n:
-            raise ValueError("matrix JSON has inconsistent dimensions")
-        if rational:
-            rows.append(tuple(Fraction(str(e)) for e in row))
-        else:
-            rows.append(tuple(int(str(e), 10) for e in row))
-    return tuple(rows)
+    return tuple(tuple(exact_from_str(e, rational) for e in row) for row in entries)

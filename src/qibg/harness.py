@@ -10,15 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import decompose as dec
 from .exactmat import matrix_to_json, random_word
 from .rootsys import sl_class_ordering
-
-THREADS_ENV = "QIBG_THREADS"
 
 
 class CampaignError(RuntimeError):
@@ -93,27 +89,6 @@ class ComparisonReport:
     total_reannihilations: int
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as e:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer") from e
-    if cap < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer")
-    return cap
-
-
-def _map_samples(fn, tasks):
-    cap = _thread_cap()
-    if cap == 1 or len(tasks) < 2:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _sample_seed(seed: int, counter: int) -> int:
     return (seed * 1_000_003 + counter * 10_007 + 12_345) & ((1 << 63) - 1)
 
@@ -164,7 +139,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         return SampleRecord(length, index, stats.input_log_norm,
                             report.factor_count, mfl, stats.max_ratio), violated
 
-    results = _map_samples(one, _enumerate_tasks(config))
+    results = [one(task) for task in _enumerate_tasks(config)]
     samples = tuple(r for r, _ in results)
     violations = sum(v for _, v in results)
     by_length = []
@@ -208,7 +183,7 @@ def compare_strategies(config: CampaignConfig) -> ComparisonReport:
             rep_cw.factor_count, rep_cw.stats.max_ratio,
             diag.reannihilations)
 
-    samples = tuple(_map_samples(one, _enumerate_tasks(config)))
+    samples = tuple(one(task) for task in _enumerate_tasks(config))
     return ComparisonReport(
         config=config,
         samples=samples,

@@ -1,25 +1,34 @@
 """Irreducible root systems, generic plane projections, and clockwise ray classes.
 
-Roots are exact rational vectors (tuples of Fraction).  A projection maps a
-root v to the plane point (u.v, w.v); validity means no root lands on the
-real axis and distinct root lines keep distinct image lines.  All ordering
-and side decisions are made with integer cross products only; the float
-angles carried by orderings are for reporting and drawing.
+Every supported system is half-integral, so each system is computed on one
+int64 array: its doubled lattice, row i being 2r for the i-th root r.  The
+negation map, the pair sums, the proportionality table and the plane images
+all derive from that array.  The roots handed out keep their exact
+coordinates: plain ints, and Fractions only for the half-integer (spin)
+coordinates of F4 and E6-E8.
+
+A projection is a pair of integer vectors (u, w) mapping a root v to the
+plane point (u.v, w.v); validity means no root lands on the real axis and
+distinct root lines keep distinct image lines.  All ordering and side
+decisions are made with integer cross products only; the float angles
+carried by orderings are for reporting and drawing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
-Root = tuple  # tuple[Fraction, ...]
+Root = tuple  # of int, or Fraction for a half-integer coordinate
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
@@ -93,12 +102,15 @@ class InvariantReport:
 
 
 # --- construction -----------------------------------------------------------
+#
+# Roots are built as doubled vectors 2r, which are integral for every supported
+# system, and halved only when `build` hands them out.
 
 
-def _vec(coeffs, dim) -> Root:
-    v = [Fraction(0)] * dim
+def _vec(coeffs, dim) -> tuple:
+    v = [0] * dim
     for i, c in coeffs:
-        v[i] = Fraction(c)
+        v[i] = 2 * c
     return tuple(v)
 
 
@@ -129,10 +141,7 @@ def _classical(family: str, n: int):
 
 
 def _g2():
-    dim = 3
-    roots = set()
-    for i, j in itertools.permutations(range(3), 2):
-        roots.add(_vec([(i, 1), (j, -1)], dim))
+    roots, dim = _classical("A", 2)
     for i in range(3):
         others = [j for j in range(3) if j != i]
         roots.add(_vec([(i, 2), (others[0], -1), (others[1], -1)], dim))
@@ -141,38 +150,29 @@ def _g2():
 
 
 def _f4():
-    dim = 4
-    roots, _ = _classical("B", 4)
-    for signs in itertools.product((1, -1), repeat=4):
-        roots.add(tuple(Fraction(s, 2) for s in signs))
+    roots, dim = _classical("B", 4)
+    # the spin roots (+-1/2, ..., +-1/2), doubled
+    roots.update(itertools.product((1, -1), repeat=4))
     return roots, dim
 
 
 def _e8():
-    dim = 8
-    roots = set()
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.add(_vec([(i, si), (j, sj)], dim))
+    roots, dim = _classical("D", 8)
+    # the spin roots with an even number of minus signs, doubled
     for signs in itertools.product((1, -1), repeat=8):
         if signs.count(-1) % 2 == 0:
-            roots.add(tuple(Fraction(s, 2) for s in signs))
+            roots.add(signs)
     return roots, dim
-
-
-def _dot(x, y):
-    return sum(Fraction(a) * b for a, b in zip(x, y))
 
 
 def _e_subsystem(constraints):
     roots, dim = _e8()
-    kept = {r for r in roots if all(_dot(c, r) == 0 for c in constraints)}
+    kept = {r for r in roots
+            if all(sum(a * b for a, b in zip(c, r)) == 0 for c in constraints)}
     return kept, dim
 
 
-def _lex_positive(root: Root) -> bool:
+def _lex_positive(root) -> bool:
     for c in root:
         if c != 0:
             return c > 0
@@ -191,6 +191,10 @@ def _compute_simple_roots(roots) -> tuple:
         if not decomposable:
             simple.append(r)
     return tuple(simple)
+
+
+def _halve(doubled) -> Root:
+    return tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in doubled)
 
 
 def build(family: str, rank: int) -> RootSystem:
@@ -219,73 +223,82 @@ def build(family: str, rank: int) -> RootSystem:
     expected = ROOT_COUNT[family](rank)
     if len(roots) != expected:
         raise AssertionError(f"{family}{rank}: built {len(roots)} roots, expected {expected}")
+    # halving keeps the lexicographic order and the simple roots
     ordered = tuple(sorted(roots))
-    return RootSystem(family, rank, dim, ordered, _compute_simple_roots(ordered))
+    return RootSystem(family, rank, dim, tuple(map(_halve, ordered)),
+                      tuple(map(_halve, _compute_simple_roots(ordered))))
 
 
 # --- exact projection machinery ---------------------------------------------
 
 
-def _image_array(images):
-    """Integer image pairs as an ndarray; falls back to exact object dtype
-    when int64 products could overflow."""
-    peak = max((max(abs(x), abs(y)) for x, y in images), default=0)
-    dtype = np.int64 if peak < 2 ** 30 else object
-    return np.array(images, dtype=dtype)
+class _Tables(NamedTuple):
+    index: dict           # root -> row
+    lattice: np.ndarray   # row i is 2 * rs.roots[i]; int64, entries in [-4, 4]
+    neg: np.ndarray       # row of -r, per row r
+    sums: np.ndarray      # columns (a, b, row of a+b) for every a <= b with a+b a root
+    prop: np.ndarray      # prop[a, b]: roots a and b are proportional
 
 
 @lru_cache(maxsize=None)
-def _system_tables(rs: RootSystem):
-    """Per-system tables: index map, negation permutation, pairwise-sum table,
-    proportionality table."""
-    n = len(rs.roots)
-    index = {r: i for i, r in enumerate(rs.roots)}
-    neg = np.array([index[tuple(-c for c in r)] for r in rs.roots], dtype=np.int64)
-    scaled = [tuple(int(2 * c) for c in r) for r in rs.roots]
-    sindex = {s: i for i, s in enumerate(scaled)}
-    add = np.full((n, n), -1, dtype=np.int64)
-    prop = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(scaled):
-        for j, b in enumerate(scaled):
-            s = tuple(x + y for x, y in zip(a, b))
-            add[i, j] = sindex.get(s, -1)
-        # proportionality: a and b parallel as vectors
-        for j in range(i, n):
-            b = scaled[j]
-            if _parallel(a, b):
-                prop[i, j] = prop[j, i] = True
-    return index, neg, add, prop
+def _system_tables(rs: RootSystem) -> _Tables:
+    """Per-system tables, all derived from the doubled lattice."""
+    n, dim = len(rs.roots), rs.ambient_dim
+    # 2c is an integer for every coordinate c: read it off numerator and denominator
+    lattice = np.array([[c.numerator * 2 // c.denominator for c in r] for r in rs.roots],
+                       dtype=np.int64)
+    # Coordinates of 2r, and of a sum of two such vectors, lie in [-8, 8], where
+    # this base-17 key is injective.  It is linear: the key of a sum is the sum
+    # of the keys, so one n x n addition finds every pair sum.
+    key = lattice @ 17 ** np.arange(dim, dtype=np.int64)
+    order = np.argsort(key)
+
+    def row_of(k):
+        at = order[np.searchsorted(key, k, sorter=order).clip(max=n - 1)]
+        return np.where(key[at] == k, at, -1)
+
+    sum_rows = row_of(key[:, None] + key[None, :])
+    a, b = np.nonzero(np.triu(sum_rows >= 0))
+    gram = lattice @ lattice.T
+    norms = np.diag(gram)
+    return _Tables(index={r: i for i, r in enumerate(rs.roots)},
+                   lattice=lattice,
+                   neg=row_of(-key),
+                   sums=np.stack([a, b, sum_rows[a, b]]),
+                   # Cauchy-Schwarz is an equality exactly for parallel vectors
+                   prop=gram * gram == np.outer(norms, norms))
 
 
-def _parallel(a, b) -> bool:
-    for x, y in zip(a, b):
-        for z, t in zip(a, b):
-            if x * t != y * z:
-                return False
-    return True
+def _exact_dtype(rs: RootSystem, proj: Projection):
+    # |u.2r| <= 4 * dim * max|u|.  Below 2**30 every image coordinate and every
+    # 2x2 cross product of two images fits in int64; beyond, exact Python ints.
+    peak = max(abs(operator.index(c)) for v in (proj.u, proj.w) for c in v)
+    return np.int64 if 4 * rs.ambient_dim * peak < 2 ** 30 else object
 
 
 def root_images(rs: RootSystem, proj: Projection) -> tuple:
-    """Exact integer plane image per root (positive per-root rescaling only)."""
-    out = []
-    for r in rs.roots:
-        x = _dot(proj.u, r)
-        y = _dot(proj.w, r)
-        scale = lcm(x.denominator, y.denominator)
-        out.append((int(x * scale), int(y * scale)))
-    return tuple(out)
+    """Exact integer plane image per root (positive per-root rescaling only).
+
+    One matrix product gives (u.2r, w.2r) for every root r; the image is half
+    of it, or the pair itself where halving would leave a half-integer."""
+    dtype = _exact_dtype(rs, proj)
+    xy = (_system_tables(rs).lattice.astype(dtype, copy=False)
+          @ np.array([proj.u, proj.w], dtype=dtype).T)
+    xy[np.all(xy % 2 == 0, axis=1)] //= 2
+    return tuple(map(tuple, xy.tolist()))
+
+
+def _is_generic(rs: RootSystem, proj: Projection, images) -> bool:
+    xy = np.array(images, dtype=_exact_dtype(rs, proj))
+    x, y = xy[:, 0], xy[:, 1]
+    # image lines coincide exactly where the root lines do
+    return bool(np.all(y != 0)
+                and np.array_equal(np.outer(x, y) == np.outer(y, x), _system_tables(rs).prop))
 
 
 def is_valid_projection(rs: RootSystem, proj: Projection) -> bool:
     """No root image on the real axis, and distinct root lines stay distinct."""
-    imgs = root_images(rs, proj)
-    if any(y == 0 for _, y in imgs):
-        return False
-    _, _, _, prop = _system_tables(rs)
-    arr = _image_array(imgs)
-    cross = arr[:, 0][:, None] * arr[:, 1][None, :] - arr[:, 1][:, None] * arr[:, 0][None, :]
-    # image lines coincide exactly where the root lines do
-    return bool(np.array_equal(cross == 0, prop))
+    return _is_generic(rs, proj, root_images(rs, proj))
 
 
 def sample_projection(rs: RootSystem, seed: int, span: int = 1000,
@@ -305,10 +318,7 @@ def sample_projection(rs: RootSystem, seed: int, span: int = 1000,
 
 def positive_roots(rs: RootSystem, proj: Projection) -> frozenset:
     """Roots whose image lands in the open upper half-plane."""
-    if not is_valid_projection(rs, proj):
-        raise InvalidProjectionError("projection violates the genericity conditions")
-    imgs = root_images(rs, proj)
-    return frozenset(r for r, (_, y) in zip(rs.roots, imgs) if y > 0)
+    return frozenset(r for cls in class_ordering(rs, proj).positive_classes for r in cls)
 
 
 def _primitive(x: int, y: int) -> tuple[int, int]:
@@ -318,9 +328,9 @@ def _primitive(x: int, y: int) -> tuple[int, int]:
 
 def class_ordering(rs: RootSystem, proj: Projection) -> ClassOrdering:
     """Group positive roots by ray and list the rays in clockwise order."""
-    if not is_valid_projection(rs, proj):
-        raise InvalidProjectionError("projection violates the genericity conditions")
     imgs = root_images(rs, proj)
+    if not _is_generic(rs, proj, imgs):
+        raise InvalidProjectionError("projection violates the genericity conditions")
     groups: dict[tuple[int, int], list] = {}
     for r, (x, y) in zip(rs.roots, imgs):
         if y > 0:
@@ -371,79 +381,66 @@ def side_sets(ordering: ClassOrdering, rs: RootSystem, i: int) -> SideSets:
                     frozenset(left_pos), frozenset(right_pos))
 
 
+def _closed_mask(sums, mask) -> bool:
+    a, b, s = mask[sums]
+    return not (a & b & ~s).any()
+
+
 def is_closed(roots, rs: RootSystem) -> bool:
     """True iff for all a, b in the set with a+b a root, a+b is in the set."""
-    index, _, add, _ = _system_tables(rs)
+    tables = _system_tables(rs)
+    mask = np.zeros(len(rs.roots), dtype=bool)
     try:
-        ids = [index[tuple(r)] for r in roots]
+        mask[[tables.index[tuple(r)] for r in roots]] = True
     except KeyError as e:
         raise ValueError(f"element {e} is not a root of {rs.family}{rs.rank}") from None
-    members = set(ids)
-    for a in ids:
-        row = add[a]
-        for b in ids:
-            s = row[b]
-            if s >= 0 and s not in members:
-                return False
-    return True
+    return _closed_mask(tables.sums, mask)
 
 
 # --- bulk verification -------------------------------------------------------
 
 
-def _closed_mask(add, mask) -> bool:
-    sel = np.flatnonzero(mask)
-    if sel.size == 0:
-        return True
-    sub = add[np.ix_(sel, sel)].ravel()
-    sums = sub[sub >= 0]
-    return bool(np.all(mask[sums])) if sums.size else True
-
-
 def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantReport:
     """Machine-check every combinatorial claim about the clockwise classes."""
     ordering = class_ordering(rs, proj)
-    _, neg, add, _ = _system_tables(rs)
+    tables = _system_tables(rs)
     n = len(rs.roots)
-    imgs = _image_array(ordering.root_images)
+    imgs = np.array(ordering.root_images, dtype=_exact_dtype(rs, proj))
     pos_mask = imgs[:, 1] > 0
     k = len(ordering.positive_classes)
-    index = {r: i for i, r in enumerate(rs.roots)}
     class_masks = []
     for cls in ordering.positive_classes:
         m = np.zeros(n, dtype=bool)
-        for r in cls:
-            m[index[r]] = True
+        m[[tables.index[r] for r in cls]] = True
         class_masks.append(m)
 
     failures = []
     left_pos_masks = {}
+    right_masks = {}
     right_pos_masks = {}
     side_sets_closed = True
     for i in range(k + 2):
         rx, ry = _boundary_ray(ordering, i)
         cross = rx * imgs[:, 1] - ry * imgs[:, 0]
         left = cross > 0
-        right = cross < 0
+        right = right_masks[i] = cross < 0
         left_pos_masks[i] = left & pos_mask
         right_pos_masks[i] = right & pos_mask
         for name, mask in (("left", left), ("right", right),
                            ("left_pos", left_pos_masks[i]),
                            ("right_pos", right_pos_masks[i])):
-            if not _closed_mask(add, mask):
+            if not _closed_mask(tables.sums, mask):
                 side_sets_closed = False
                 failures.append(f"side set {name}[{i}] is not closed")
 
     # A positive system is checked against the full right set, not right_pos.
     positive_systems_ok = True
     for i in range(1, k + 1):
-        rx, ry = _boundary_ray(ordering, i)
-        cross = rx * imgs[:, 1] - ry * imgs[:, 0]
-        s = class_masks[i - 1] | (cross < 0)
+        s = class_masks[i - 1] | right_masks[i]
         ok = (int(s.sum()) == n // 2
-              and not np.any(s & s[neg])
-              and bool(np.all(s | s[neg]))
-              and _closed_mask(add, s))
+              and not np.any(s & s[tables.neg])
+              and bool(np.all(s | s[tables.neg]))
+              and _closed_mask(tables.sums, s))
         if not ok:
             positive_systems_ok = False
             failures.append(f"class {i} union right set is not a positive system")

@@ -86,6 +86,11 @@ def test_bigcell_rational_entries(tmp_path, capsys):
     assert main(["bigcell", path]) == 0
 
 
+def test_bigcell_zero_denominator(tmp_path):
+    path = write(tmp_path / "z.json", {"n": 2, "entries": [["1/0", "3"], ["1", "2"]]})
+    assert main(["bigcell", path]) == 2
+
+
 def test_bigcell_singular(tmp_path):
     path = write(tmp_path / "s.json", {"n": 2, "entries": [["1", "1"], ["1", "1"]]})
     assert main(["bigcell", path]) == 3

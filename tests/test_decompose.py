@@ -269,8 +269,19 @@ def test_factorization_json_round_trip():
     assert back == fac
 
 
+def test_factorization_json_round_trip_past_the_int_str_digit_limit():
+    huge = 10 ** 100_000 + 1
+    fac = dc.Factorization(2, dc.COLUMN_MAJOR, (dc.BlockFactor(1, 2, ((1, -huge), (0, 1))),))
+    blob = json.dumps(dc.factorization_to_json(fac))
+    assert len(blob) > 100_000
+    assert dc.factorization_from_json(json.loads(blob)) == fac
+
+
 def test_factorization_json_rejects_garbage():
     with pytest.raises(ValueError):
         dc.factorization_from_json({"n": 2})
     with pytest.raises(ValueError):
         dc.factorization_from_json({"n": 2, "strategy": "sideways", "factors": []})
+    with pytest.raises(ValueError):
+        dc.factorization_from_json({"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [
+            {"k": 1, "l": 2, "block": [["1", "1_0"], ["0", "1"]]}]})

@@ -153,6 +153,56 @@ def test_json_rejects_ragged():
         em.matrix_from_json({"entries": [["1"]]})
 
 
+@pytest.mark.parametrize("text", [
+    "1_0", " +7 ", "+7", "7 ", " 7", "7\n", "1e3", "1.5", "0x10", "", "-", "--1",
+    "1/", "/2", "1/-2", "1/2/3", "\u0663", "1/\u0662", "NaN", "Infinity",
+])
+def test_exact_from_str_rejects(text):
+    for rational in (False, True):
+        with pytest.raises(ValueError):
+            em.exact_from_str(text, rational)
+    with pytest.raises(ValueError):
+        em.matrix_from_json({"n": 1, "entries": [[text]]})
+
+
+def test_exact_from_str_rejects_fractions_and_non_strings():
+    with pytest.raises(ValueError):
+        em.exact_from_str("1/2")
+    for value in (7, 1.0, None, b"7"):
+        with pytest.raises(ValueError):
+            em.exact_from_str(value, rational=True)
+
+
+def test_exact_from_str_zero_denominator_is_a_value_error():
+    for text in ("1/0", "-3/00", "0/0"):
+        with pytest.raises(ValueError):
+            em.exact_from_str(text, rational=True)
+    with pytest.raises(ValueError):
+        em.matrix_from_json({"n": 1, "entries": [["1/0"]]}, rational=True)
+
+
+def test_exact_codec_values():
+    from fractions import Fraction
+    assert em.exact_from_str("-007") == -7
+    assert em.exact_from_str("6/4", rational=True) == Fraction(3, 2)
+    assert em.exact_from_str("-5", rational=True) == Fraction(-5)
+    assert em.exact_to_str(Fraction(-6, 4)) == "-3/2"
+    assert em.exact_to_str(Fraction(4, 2)) == "2"
+    assert em.exact_to_str(-10 ** 30) == "-1" + "0" * 30
+
+
+def test_json_round_trip_past_the_int_str_digit_limit():
+    from fractions import Fraction
+    huge = 10 ** 100_000 - 12345
+    m = ((huge, -1), (3, 0))
+    blob = json.dumps(em.matrix_to_json(m))
+    assert len(blob) > 100_000
+    assert em.matrix_from_json(json.loads(blob)) == m
+    q = ((Fraction(-huge, 7), Fraction(0)), (Fraction(1), Fraction(1, 2)))
+    blob = json.dumps(em.matrix_to_json(q))
+    assert em.matrix_from_json(json.loads(blob), rational=True) == q
+
+
 def test_log_abs_huge_values():
     x = 7 ** 4000
     approx = em.log_abs(x)

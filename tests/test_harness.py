@@ -125,16 +125,3 @@ def test_compare_strategies_n3():
     assert obj["total_reannihilations"] == 0
     assert len(obj["samples"]) == 30
 
-
-def test_threads_env_cap(monkeypatch):
-    cfg = hn.CampaignConfig(3, (5, 10), 8, 4)
-    base = hn.report_to_json_bytes(hn.run_campaign(cfg))
-    monkeypatch.setenv(hn.THREADS_ENV, "3")
-    threaded = hn.report_to_json_bytes(hn.run_campaign(cfg))
-    assert base == threaded
-    monkeypatch.setenv(hn.THREADS_ENV, "0")
-    with pytest.raises(ValueError):
-        hn.run_campaign(cfg)
-    monkeypatch.setenv(hn.THREADS_ENV, "many")
-    with pytest.raises(ValueError):
-        hn.run_campaign(cfg)

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qibg import rootsys as rt
 
@@ -58,15 +61,20 @@ def test_g2_length_ratio():
     assert len(longs) == 6
 
 
+def _parallel(a, b) -> bool:
+    """Reference: a and b are parallel exactly when every 2x2 minor vanishes."""
+    return all(x * t == y * z for x, y in zip(a, b) for z, t in zip(a, b))
+
+
 def test_bc_only_proportional_pairs_are_doubles():
     rs = rt.build("BC", 2)
     for r in rs.roots:
         doubled = tuple(2 * c for c in r)
-        halved = tuple(c / 2 for c in r)
+        halved = tuple(Fraction(c, 2) for c in r)
         for s in rs.roots:
             if s in (r, tuple(-c for c in r)):
                 continue
-            if rt._parallel(tuple(int(2 * c) for c in r), tuple(int(2 * c) for c in s)):
+            if _parallel(r, s):
                 assert s in (doubled, halved, tuple(-c for c in doubled),
                              tuple(-c for c in halved))
 
@@ -325,3 +333,96 @@ def test_ordering_report_and_svg():
     svg = rt.render_rays_svg(rs, proj)
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert svg.count("<line") >= 3
+
+
+# --- the doubled-lattice tables, against exact loops over rs.roots ------------------
+
+ONE_PER_FAMILY = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("BC", 2), ("G2", 2),
+                  ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)]
+
+LATTICE_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                            database=None)
+
+
+def _exact_sum(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _closed_brute_force(subset, rs):
+    allroots = set(rs.roots)
+    return all(_exact_sum(a, b) not in allroots or _exact_sum(a, b) in subset
+               for a in subset for b in subset)
+
+
+@pytest.mark.parametrize("family,rank,count", EXPECTED_COUNTS)
+def test_lattice_tables_match_exact_loops(family, rank, count):
+    rs = rt.build(family, rank)
+    tables = rt._system_tables(rs)
+    index = {r: i for i, r in enumerate(rs.roots)}
+    assert tables.index == index
+    assert tables.neg.tolist() == [index[tuple(-c for c in r)] for r in rs.roots]
+    sums = {(i, j, index[_exact_sum(a, b)])
+            for i, a in enumerate(rs.roots) for j, b in enumerate(rs.roots)
+            if i <= j and _exact_sum(a, b) in index}
+    assert set(map(tuple, tables.sums.T.tolist())) == sums
+    assert tables.sums.shape[1] == len(sums)
+    assert tables.prop.tolist() == [[_parallel(a, b) for b in rs.roots] for a in rs.roots]
+
+
+@pytest.mark.parametrize("family,rank", ONE_PER_FAMILY)
+@LATTICE_PROPERTY
+@given(data=st.data())
+def test_is_closed_matches_brute_force(family, rank, data):
+    rs = rt.build(family, rank)
+    n = len(rs.roots)
+    # start from a closed set (empty or a positive system), then toggle a few
+    # roots, or take a small arbitrary set
+    start = data.draw(st.sampled_from(["empty", "positive", "arbitrary"]))
+    if start == "arbitrary":
+        subset = {rs.roots[i] for i in data.draw(st.sets(st.integers(0, n - 1), max_size=6))}
+    else:
+        subset = set()
+        if start == "positive":
+            seed = data.draw(st.integers(0, 3))
+            subset = set(rt.positive_roots(rs, rt.sample_projection(rs, seed)))
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            subset ^= {rs.roots[i]}
+    assert rt.is_closed(subset, rs) == _closed_brute_force(subset, rs)
+
+
+def _exact_images(rs, proj):
+    out = []
+    for r in rs.roots:
+        x = sum(Fraction(a) * b for a, b in zip(proj.u, r))
+        y = sum(Fraction(a) * b for a, b in zip(proj.w, r))
+        scale = math.lcm(x.denominator, y.denominator)
+        out.append((int(x * scale), int(y * scale)))
+    return tuple(out)
+
+
+def _valid_brute_force(parallel, imgs):
+    return all(y != 0 for _, y in imgs) and all(
+        (xa * yb == ya * xb) == parallel[i][j]
+        for i, (xa, ya) in enumerate(imgs) for j, (xb, yb) in enumerate(imgs))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("G2", 2), ("F4", 4), ("E8", 8)])
+def test_images_past_int64_match_exact_dot_products(family, rank):
+    rs = rt.build(family, rank)
+    base = rt.sample_projection(rs, 5)
+    big = 2 ** 62
+    scaled = rt.Projection(tuple(big * c for c in base.u), tuple(big * c for c in base.w))
+    shifted = rt.Projection(tuple(big * c + 1 for c in base.u),
+                            tuple(big * c - 3 for c in base.w))
+    merged = rt.Projection(scaled.u, scaled.u)
+    parallel = [[_parallel(a, b) for b in rs.roots] for a in rs.roots]
+    for proj in (scaled, shifted, merged):
+        imgs = rt.root_images(rs, proj)
+        assert imgs == _exact_images(rs, proj)
+        assert max(abs(c) for p in imgs for c in p) >= 2 ** 62
+        assert rt.is_valid_projection(rs, proj) == _valid_brute_force(parallel, imgs)
+    # scaling both vectors keeps every image ray, so the ordering survives
+    assert not rt.is_valid_projection(rs, merged)
+    ordering = rt.class_ordering(rs, scaled)
+    assert ordering.positive_classes == rt.class_ordering(rs, base).positive_classes
+    assert rt.verify_notation_invariants(rs, scaled).all_ok

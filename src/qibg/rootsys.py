@@ -22,7 +22,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -57,6 +57,13 @@ class RootSystem:
     ambient_dim: int
     roots: tuple
     simple_roots: tuple
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        # Built on first use and kept on the instance, outside the compared and
+        # hashed fields: a lookup hashes no root coordinate, and a system built
+        # by hand, or equal to another but distinct from it, gets its own tables.
+        return _system_tables(self)
 
 
 @dataclass(frozen=True)
@@ -197,8 +204,12 @@ def _halve(doubled) -> Root:
     return tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in doubled)
 
 
+@lru_cache(maxsize=None)
 def build(family: str, rank: int) -> RootSystem:
-    """Construct the standard realization of an irreducible root system."""
+    """Construct the standard realization of an irreducible root system.
+
+    A system is immutable, so each (family, rank) is built once and shared,
+    together with the lookup tables it carries."""
     if family == "A" and rank >= 1:
         roots, dim = _classical("A", rank)
     elif family in ("B", "C") and rank >= 2:
@@ -240,9 +251,9 @@ class _Tables(NamedTuple):
     prop: np.ndarray      # prop[a, b]: roots a and b are proportional
 
 
-@lru_cache(maxsize=None)
 def _system_tables(rs: RootSystem) -> _Tables:
-    """Per-system tables, all derived from the doubled lattice."""
+    """Per-system tables, all derived from the doubled lattice; read them
+    through the system's cached `_tables`."""
     n, dim = len(rs.roots), rs.ambient_dim
     # 2c is an integer for every coordinate c: read it off numerator and denominator
     lattice = np.array([[c.numerator * 2 // c.denominator for c in r] for r in rs.roots],
@@ -282,7 +293,7 @@ def root_images(rs: RootSystem, proj: Projection) -> tuple:
     One matrix product gives (u.2r, w.2r) for every root r; the image is half
     of it, or the pair itself where halving would leave a half-integer."""
     dtype = _exact_dtype(rs, proj)
-    xy = (_system_tables(rs).lattice.astype(dtype, copy=False)
+    xy = (rs._tables.lattice.astype(dtype, copy=False)
           @ np.array([proj.u, proj.w], dtype=dtype).T)
     xy[np.all(xy % 2 == 0, axis=1)] //= 2
     return tuple(map(tuple, xy.tolist()))
@@ -293,7 +304,7 @@ def _is_generic(rs: RootSystem, proj: Projection, images) -> bool:
     x, y = xy[:, 0], xy[:, 1]
     # image lines coincide exactly where the root lines do
     return bool(np.all(y != 0)
-                and np.array_equal(np.outer(x, y) == np.outer(y, x), _system_tables(rs).prop))
+                and np.array_equal(np.outer(x, y) == np.outer(y, x), rs._tables.prop))
 
 
 def is_valid_projection(rs: RootSystem, proj: Projection) -> bool:
@@ -388,7 +399,7 @@ def _closed_mask(sums, mask) -> bool:
 
 def is_closed(roots, rs: RootSystem) -> bool:
     """True iff for all a, b in the set with a+b a root, a+b is in the set."""
-    tables = _system_tables(rs)
+    tables = rs._tables
     mask = np.zeros(len(rs.roots), dtype=bool)
     try:
         mask[[tables.index[tuple(r)] for r in roots]] = True
@@ -403,7 +414,7 @@ def is_closed(roots, rs: RootSystem) -> bool:
 def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantReport:
     """Machine-check every combinatorial claim about the clockwise classes."""
     ordering = class_ordering(rs, proj)
-    tables = _system_tables(rs)
+    tables = rs._tables
     n = len(rs.roots)
     imgs = np.array(ordering.root_images, dtype=_exact_dtype(rs, proj))
     pos_mask = imgs[:, 1] > 0
@@ -481,9 +492,10 @@ def sl_class_ordering(n: int, seed: int = 0, max_tries: int = 10_000) -> ClassOr
         if len(set(w)) != n:
             continue
         u = tuple(rng.randint(-1000, 1000) for _ in range(n))
-        proj = Projection(u, tuple(w))
-        if is_valid_projection(rs, proj):
-            return class_ordering(rs, proj)
+        try:
+            return class_ordering(rs, Projection(u, tuple(w)))
+        except InvalidProjectionError:
+            continue
     raise InvalidProjectionError("could not sample a standard ordering; this indicates a bug")
 
 

@@ -330,6 +330,53 @@ def test_split_round_trip_generic():
                 assert prod == u
 
 
+def _dense_split(u, ordering, i):
+    """The split with every peeled factor reassembled as a dense product of
+    elementary matrices."""
+    n = len(u)
+    pos0 = [(a - 1, b - 1) for a, b in rt.sl_block_positions(ordering)]
+    rows = [[Fraction(e) for e in row] for row in u]
+
+    def peel(positions):
+        acc = F(em.identity(n))
+        for a, b in sorted(positions, key=lambda p: p[1] - p[0]):
+            c = rows[a][b]
+            if c:
+                rows[a] = [x - c * y for x, y in zip(rows[a], rows[b])]
+                elem = [[Fraction(int(r == s)) for s in range(n)] for r in range(n)]
+                elem[a][b] = c
+                acc = em.multiply(acc, elem)
+        return acc
+
+    left = peel(pos0[: i - 1])
+    mid = peel(pos0[i - 1: i])
+    return left, mid, tuple(map(tuple, rows))
+
+
+@st.composite
+def unitriangular_splits(draw):
+    """(u, ordering, i): a random upper unitriangular u, n = 2..7, with integer
+    or rational entries, one of a few standard orderings and a class index."""
+    n = draw(st.integers(2, 7))
+    entry = st.one_of(st.integers(-20, 20),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+    u = tuple(tuple(1 if r == c else draw(entry) if c > r else 0 for c in range(n))
+              for r in range(n))
+    ordering = rt.sl_class_ordering(n, seed=draw(st.integers(0, 4)))
+    return u, ordering, draw(st.integers(1, n * (n - 1) // 2))
+
+
+@PROPERTY
+@given(unitriangular_splits())
+def test_split_matches_dense_reassembly(case):
+    u, ordering, i = case
+    sp = bc.unipotent_class_split(u, ordering, i)
+    parts = (sp.left_part, sp.mid_part, sp.right_part)
+    assert parts == _dense_split(u, ordering, i)
+    assert all(type(e) is Fraction for part in parts for row in part for e in row)
+    assert em.multiply(em.multiply(*parts[:2]), parts[2]) == F(u)
+
+
 def test_split_rejects_non_unitriangular():
     ordering = rt.sl_class_ordering(3, seed=1)
     with pytest.raises(ValueError):

@@ -33,6 +33,16 @@ def test_decompose_clockwise_strategy(tmp_path, matrix_file):
     assert main(["verify", matrix_file, out]) == 0
 
 
+def test_decompose_column_major_spelling(tmp_path, matrix_file):
+    outs = []
+    for spelling in ([], ["--strategy", "column"], ["--strategy", "column_major"]):
+        out = tmp_path / f"fac{len(outs)}.json"
+        assert main(["decompose", matrix_file, *spelling, "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[2])["strategy"] == "column_major"
+
+
 def test_decompose_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "entries": [["1"')

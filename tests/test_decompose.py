@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qibg import decompose as dc
 from qibg import exactmat as em
@@ -209,6 +211,85 @@ def test_verify_detects_count_overflow():
     assert not rep.all_ok
 
 
+def _dense_product_ok(m, fac):
+    """The reference check: a dense product of embedded blocks, each of which
+    must have determinant 1 and a valid position."""
+    n = len(m)
+    prod = em.identity(n)
+    for f in fac.factors:
+        (a, b), (c, d) = f.block
+        if a * d - b * c != 1 or not (1 <= f.k <= n and 1 <= f.l <= n) or f.k == f.l:
+            return False
+        prod = em.multiply(prod, dc.embed(f, n))
+    return prod == em.as_matrix(m)
+
+
+TAMPERS = ("none", "entry", "swap", "drop", "diagonal", "range")
+
+
+@st.composite
+def factorizations(draw):
+    """(matrix, factorization, tamper): a factorization of a random word by
+    either strategy, n = 2..7, possibly tampered with in one way."""
+    n = draw(st.integers(2, 7))
+    m = em.random_word(n, draw(st.integers(0, 14)), draw(st.integers(0, 10 ** 6)))
+    strategy = draw(st.sampled_from(dc.STRATEGIES))
+    fac = (dc.decompose_column_major(m) if strategy == dc.COLUMN_MAJOR
+           else dc.decompose_clockwise(m))
+    factors = list(fac.factors)
+    tamper = draw(st.sampled_from(TAMPERS if len(factors) >= 2
+                                  else ("none", "diagonal", "range")))
+    if tamper in ("entry", "drop", "diagonal", "range") and factors:
+        i = draw(st.integers(0, len(factors) - 1))
+    if tamper == "entry":
+        # right-multiply one block by [[1, t], [0, 1]]: determinant stays 1
+        f, t = factors[i], draw(st.integers(-3, 3).filter(bool))
+        (a, b), (c, d) = f.block
+        factors[i] = dc.BlockFactor(f.k, f.l, ((a, a * t + b), (c, c * t + d)))
+    elif tamper == "swap":
+        i, j = draw(st.lists(st.integers(0, len(factors) - 1), min_size=2, max_size=2,
+                             unique=True))
+        factors[i], factors[j] = factors[j], factors[i]
+    elif tamper == "drop":
+        del factors[i]
+    elif tamper in ("diagonal", "range"):
+        k = draw(st.integers(1, n))
+        l = k if tamper == "diagonal" else draw(st.sampled_from((0, n + 1, -1)))
+        bad = dc.BlockFactor(k, l, ((1, draw(st.integers(-2, 2))), (0, 1)))
+        if factors:
+            factors[i] = bad
+        else:
+            factors.append(bad)
+    return m, dc.Factorization(n, strategy, tuple(factors)), tamper
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(factorizations())
+def test_verify_product_matches_dense_reference(case):
+    m, fac, tamper = case
+    rep = dc.verify(m, fac)
+    assert rep.product_ok == _dense_product_ok(m, fac)
+    if tamper == "none":
+        assert rep.all_ok
+    elif tamper != "swap":
+        # one factor multiplied by a non-identity block, one non-identity factor
+        # left out, or one that does not embed; a swap of commuting factors is
+        # no change, so there the dense reference alone decides
+        assert not rep.product_ok
+
+
+def test_verify_makes_no_dense_product(monkeypatch):
+    m = em.random_word(6, 30, 2)
+    fac = dc.decompose_clockwise(m)
+
+    def forbidden(*args):
+        raise AssertionError("dense product in verify")
+
+    monkeypatch.setattr(dc, "multiply", forbidden)
+    monkeypatch.setattr(dc, "embed", forbidden)
+    assert dc.verify(m, fac).all_ok
+
+
 # --- quasi-isometry stats -----------------------------------------------------------
 
 
@@ -247,6 +328,9 @@ def test_clockwise_past_the_float_norm_ceiling():
     m = em.random_word(16, 40, 16)
     fac = dc.decompose_clockwise(m)
     assert dc.verify(m, fac).all_ok
+    assert dc.guaranteed_log_norm_bound(16, m, 36.0, extra_exponent=1) == math.inf
+    assert (dc.guaranteed_log_norm_bound(14, m, 32.0, extra_exponent=1)
+            == 32.0 ** (14 * 13 + 1) * math.log(14 * em.sup_norm(m)))
 
 
 def test_column_major_past_the_float_norm_ceiling():

@@ -1,6 +1,9 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -300,6 +303,63 @@ def test_sl_class_ordering_is_standard():
         assert len(set(positions)) == len(positions)
 
 
+# sha256 prefixes of repr((positive_classes, class_rays, root_images, angles)),
+# recorded from the implementation that validated each accepted projection twice
+SL_ORDERING_DIGESTS = {
+    (2, 0): "9046dd7d444626c1", (3, 1): "98988ee4c3eb3351", (5, 7): "98f1c02383539a3c",
+    (6, 3): "3179f43fb7b075ce", (9, 11): "bae68390c6dfbd48", (16, 5): "5b441f0a2daab82e",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(SL_ORDERING_DIGESTS))
+def test_sl_class_ordering_matches_recorded_orderings(n, seed):
+    o = rt.sl_class_ordering(n, seed=seed)
+    text = repr((o.positive_classes, o.class_rays, o.root_images, o.angles))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == SL_ORDERING_DIGESTS[n, seed]
+
+
+def _sl_ordering_reference(n, seed):
+    """The sampling loop with a separate validity test before class_ordering."""
+    rs = rt.build("A", n - 1)
+    rng = random.Random(seed)
+    while True:
+        w = sorted((rng.randint(1, 10 ** 6) for _ in range(n)), reverse=True)
+        if len(set(w)) != n:
+            continue
+        u = tuple(rng.randint(-1000, 1000) for _ in range(n))
+        proj = rt.Projection(u, tuple(w))
+        if rt.is_valid_projection(rs, proj):
+            return rt.class_ordering(rs, proj)
+
+
+def _with_rejections(monkeypatch, sample, n, seed):
+    """Run sample(n, seed) with the first three validity tests failing; return
+    its ordering and every projection the validity test saw."""
+    generic = rt._is_generic
+    seen = []
+
+    def flaky(rs, proj, images):
+        seen.append(proj)
+        return len(seen) > 3 and generic(rs, proj, images)
+
+    monkeypatch.setattr(rt, "_is_generic", flaky)
+    try:
+        return sample(n, seed), seen
+    finally:
+        monkeypatch.setattr(rt, "_is_generic", generic)
+
+
+def test_sl_class_ordering_keeps_the_draw_order_past_rejected_tries(monkeypatch):
+    # random projections of A_{n-1} are practically never rejected, so the
+    # retry path is forced
+    for n, seed in ((3, 0), (4, 9), (6, 2)):
+        got, seen = _with_rejections(monkeypatch, rt.sl_class_ordering, n, seed)
+        want, want_seen = _with_rejections(monkeypatch, _sl_ordering_reference, n, seed)
+        assert got == want and got != rt.sl_class_ordering(n, seed)
+        # the accepted projection is validated once, not once more by class_ordering
+        assert seen == want_seen[:4] and len(seen) == 4 and len(want_seen) == 5
+
+
 def test_sl_block_positions_rejects_nonstandard():
     rs = rt.build("A", 2)
     accepted = rejected = 0
@@ -367,6 +427,34 @@ def test_lattice_tables_match_exact_loops(family, rank, count):
     assert set(map(tuple, tables.sums.T.tolist())) == sums
     assert tables.sums.shape[1] == len(sums)
     assert tables.prop.tolist() == [[_parallel(a, b) for b in rs.roots] for a in rs.roots]
+
+
+def test_equal_systems_built_separately_get_identical_tables():
+    rs = rt.build("E8", 8)
+    assert rt.build("E8", 8) is rs
+    twin = rt.RootSystem(rs.family, rs.rank, rs.ambient_dim,
+                         tuple(tuple(r) for r in rs.roots),
+                         tuple(tuple(r) for r in rs.simple_roots))
+    assert twin == rs and hash(twin) == hash(rs) and twin is not rs
+    mine, theirs = rs._tables, twin._tables
+    assert mine is not theirs and twin._tables is theirs
+    assert mine.index == theirs.index
+    for name in ("lattice", "neg", "sums", "prop"):
+        assert np.array_equal(getattr(mine, name), getattr(theirs, name))
+
+
+def test_hand_built_system_gets_its_own_tables():
+    # the same roots listed in another order are a different (unequal) system
+    rs = rt.build("G2", 2)
+    flipped = rt.RootSystem(rs.family, rs.rank, rs.ambient_dim, rs.roots[::-1],
+                            rs.simple_roots)
+    index = {r: i for i, r in enumerate(flipped.roots)}
+    assert flipped._tables.index == index
+    assert flipped._tables.neg.tolist() == [index[tuple(-c for c in r)]
+                                            for r in flipped.roots]
+    assert flipped._tables.lattice.tolist() == rs._tables.lattice[::-1].tolist()
+    proj = rt.sample_projection(rs, 4)
+    assert rt.root_images(flipped, proj) == rt.root_images(rs, proj)[::-1]
 
 
 @pytest.mark.parametrize("family,rank", ONE_PER_FAMILY)

@@ -262,7 +262,7 @@ def _check_support(mat, allowed) -> None:
                 raise AssertionError("split factor leaks outside its class support")
 
 
-def factorization_to_json(fac: BigCellFactorization) -> dict:
+def ul_factorization_to_json(fac: BigCellFactorization) -> dict:
     def enc(mat):
         return [[exact_to_str(e) for e in row] for row in mat]
 

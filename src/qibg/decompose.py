@@ -19,7 +19,7 @@ from .bigcell import NotInBigCell, ul_factorize
 # the benchmark's tracer (perfbench/tracer.py) wraps qibg.decompose.determinant
 # and qibg.decompose.multiply (and the public embed below).
 from .exactmat import (as_matrix, check_unimodular, determinant, exact_from_str, exact_to_str,
-                       identity, log_abs, log_sup_norm, multiply, sup_norm)
+                       identity, json_int, log_abs, log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions, sl_class_ordering
 from .sl2 import block_det, block_inverse, ext_gcd, gcd_transform
 
@@ -317,14 +317,19 @@ def factorization_to_json(fac: Factorization) -> dict:
 def factorization_from_json(obj) -> Factorization:
     if not isinstance(obj, dict) or not {"n", "strategy", "factors"} <= set(obj):
         raise ValueError("factorization JSON needs 'n', 'strategy' and 'factors'")
-    n = obj["n"]
-    strategy = obj["strategy"]
-    if not isinstance(n, int) or strategy not in STRATEGIES:
-        raise ValueError("invalid dimension or strategy")
+    n = json_int(obj["n"], "n")
+    if obj["strategy"] not in STRATEGIES:
+        raise ValueError(f"unknown strategy {str(obj['strategy'])[:40]!r}")
+    if not isinstance(obj["factors"], list):
+        raise ValueError("'factors' must be a list")
     factors = []
     for f in obj["factors"]:
-        block = tuple(tuple(exact_from_str(e) for e in row) for row in f["block"])
-        if len(block) != 2 or any(len(r) != 2 for r in block):
+        if not isinstance(f, dict) or not {"k", "l", "block"} <= set(f):
+            raise ValueError("each factor needs 'k', 'l' and 'block'")
+        rows = f["block"]
+        if not isinstance(rows, list) or len(rows) != 2 or any(
+                not isinstance(r, list) or len(r) != 2 for r in rows):
             raise ValueError("blocks must be 2x2")
-        factors.append(BlockFactor(int(f["k"]), int(f["l"]), block))
-    return Factorization(n, strategy, tuple(factors))
+        block = tuple(tuple(exact_from_str(e) for e in r) for r in rows)
+        factors.append(BlockFactor(json_int(f["k"], "k"), json_int(f["l"], "l"), block))
+    return Factorization(n, obj["strategy"], tuple(factors))

@@ -202,6 +202,14 @@ def exact_from_str(text, rational: bool = False):
     return Fraction(num, den)
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer as ``json`` parses it: an int, and not a bool.  Strings,
+    floats and booleans raise ValueError rather than being coerced by int()."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, not {str(value)[:40]!r}")
+    return value
+
+
 def matrix_to_json(a) -> dict:
     a = as_matrix(a)
     return {"n": len(a), "entries": [[exact_to_str(e) for e in row] for row in a]}
@@ -210,9 +218,9 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj, rational: bool = False) -> Matrix:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON needs 'n' and 'entries'")
-    n = obj["n"]
+    n = json_int(obj["n"], "n")
     entries = obj["entries"]
-    if (not isinstance(n, int) or n < 1 or len(entries) != n
-            or any(len(row) != n for row in entries)):
+    if (n < 1 or not isinstance(entries, list) or len(entries) != n
+            or any(not isinstance(row, list) or len(row) != n for row in entries)):
         raise ValueError("matrix JSON has inconsistent dimensions")
     return tuple(tuple(exact_from_str(e, rational) for e in row) for row in entries)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from . import decompose as dec
-from .exactmat import matrix_to_json, random_word
+from .exactmat import json_int, matrix_to_json, random_word
 from .rootsys import sl_class_ordering
 
 
@@ -208,10 +208,10 @@ def config_to_json(config: CampaignConfig) -> dict:
 def config_from_json(obj) -> CampaignConfig:
     try:
         return CampaignConfig(
-            n=int(obj["n"]),
-            word_lengths=tuple(int(x) for x in obj["word_lengths"]),
-            samples_per_length=int(obj["samples_per_length"]),
-            seed=int(obj["seed"]),
+            n=json_int(obj["n"], "n"),
+            word_lengths=tuple(json_int(x, "a word length") for x in obj["word_lengths"]),
+            samples_per_length=json_int(obj["samples_per_length"], "samples_per_length"),
+            seed=json_int(obj["seed"], "seed"),
             strategy=obj.get("strategy", dec.COLUMN_MAJOR),
         ).validate()
     except (KeyError, TypeError) as e:

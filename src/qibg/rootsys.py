@@ -22,7 +22,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -280,11 +280,10 @@ def _system_tables(rs: RootSystem) -> _Tables:
                    prop=gram * gram == np.outer(norms, norms))
 
 
-def _exact_dtype(rs: RootSystem, proj: Projection):
-    # |u.2r| <= 4 * dim * max|u|.  Below 2**30 every image coordinate and every
-    # 2x2 cross product of two images fits in int64; beyond, exact Python ints.
-    peak = max(abs(operator.index(c)) for v in (proj.u, proj.w) for c in v)
-    return np.int64 if 4 * rs.ambient_dim * peak < 2 ** 30 else object
+def _exact_dtype(values):
+    # Below 2**30 in magnitude, every value and every 2x2 cross product of two
+    # of them fits in int64; beyond, exact Python ints.
+    return np.int64 if max(map(abs, values)) < 2 ** 30 else object
 
 
 def root_images(rs: RootSystem, proj: Projection) -> tuple:
@@ -292,7 +291,9 @@ def root_images(rs: RootSystem, proj: Projection) -> tuple:
 
     One matrix product gives (u.2r, w.2r) for every root r; the image is half
     of it, or the pair itself where halving would leave a half-integer."""
-    dtype = _exact_dtype(rs, proj)
+    # |u.2r| <= 4 * dim * max|u| bounds every image coordinate
+    dtype = _exact_dtype(4 * rs.ambient_dim * operator.index(c) for v in (proj.u, proj.w)
+                         for c in v)
     xy = (rs._tables.lattice.astype(dtype, copy=False)
           @ np.array([proj.u, proj.w], dtype=dtype).T)
     xy[np.all(xy % 2 == 0, axis=1)] //= 2
@@ -300,7 +301,7 @@ def root_images(rs: RootSystem, proj: Projection) -> tuple:
 
 
 def _is_generic(rs: RootSystem, proj: Projection, images) -> bool:
-    xy = np.array(images, dtype=_exact_dtype(rs, proj))
+    xy = np.array(images, dtype=_exact_dtype(itertools.chain.from_iterable(images)))
     x, y = xy[:, 0], xy[:, 1]
     # image lines coincide exactly where the root lines do
     return bool(np.all(y != 0)
@@ -348,26 +349,22 @@ def class_ordering(rs: RootSystem, proj: Projection) -> ClassOrdering:
             groups.setdefault(_primitive(x, y), []).append(r)
     # clockwise: strictly decreasing angle in (0, pi); for upper-half rays
     # A precedes B exactly when cross(A, B) < 0
-    rays = sorted(groups, key=_upper_half_angle_key, reverse=True)
+    rays = sorted(groups, key=cmp_to_key(lambda a, b: a[0] * b[1] - a[1] * b[0]))
     classes = tuple(tuple(sorted(groups[ray])) for ray in rays)
     angles = tuple(math.atan2(y, x) for x, y in rays)
     return ClassOrdering(classes, angles, tuple(rays), imgs)
 
 
-def _upper_half_angle_key(ray):
-    # Exact strictly-increasing-angle key for upper-half-plane rays: -x/y is
-    # monotone in the angle on (0, pi).
-    x, y = ray
-    return Fraction(-x, y)
-
-
-def _boundary_ray(ordering: ClassOrdering, i: int) -> tuple[int, int]:
-    k = len(ordering.positive_classes)
-    if i == 0:
-        return (-1, 0)
-    if i == k + 1:
-        return (1, 0)
-    return ordering.class_rays[i - 1]
+def _side_signs(ordering: ClassOrdering) -> np.ndarray:
+    """Sign of cross(ray, image) per boundary ray (row) and root (column): +1
+    left of the ray, -1 right of it.  The rays are (-1, 0), the class rays in
+    clockwise order, then (1, 0), so row i is side-set index i, and the last
+    row is +1 exactly on the positive roots."""
+    dtype = _exact_dtype(itertools.chain(*ordering.root_images, *ordering.class_rays))
+    rays = np.array([(-1, 0), *ordering.class_rays, (1, 0)], dtype=dtype)
+    xy = np.array(ordering.root_images, dtype=dtype)
+    cross = np.outer(rays[:, 0], xy[:, 1]) - np.outer(rays[:, 1], xy[:, 0])
+    return np.sign(cross).astype(np.int8)
 
 
 def side_sets(ordering: ClassOrdering, rs: RootSystem, i: int) -> SideSets:
@@ -376,36 +373,37 @@ def side_sets(ordering: ClassOrdering, rs: RootSystem, i: int) -> SideSets:
     k = len(ordering.positive_classes)
     if not 0 <= i <= k + 1:
         raise ValueError(f"side-set index {i} out of range 0..{k + 1}")
-    rx, ry = _boundary_ray(ordering, i)
-    left, right, left_pos, right_pos = [], [], [], []
-    for r, (x, y) in zip(rs.roots, ordering.root_images):
-        c = rx * y - ry * x
-        if c > 0:
-            left.append(r)
-            if y > 0:
-                left_pos.append(r)
-        elif c < 0:
-            right.append(r)
-            if y > 0:
-                right_pos.append(r)
-    return SideSets(i, frozenset(left), frozenset(right),
-                    frozenset(left_pos), frozenset(right_pos))
+    signs = _side_signs(ordering)
+    left, right, pos = signs[i] > 0, signs[i] < 0, signs[-1] > 0
+    return SideSets(i, *(frozenset(itertools.compress(rs.roots, m))
+                         for m in (left, right, left & pos, right & pos)))
 
 
-def _closed_mask(sums, mask) -> bool:
-    a, b, s = mask[sums]
-    return not (a & b & ~s).any()
+# Triples are gathered this many at a time, which bounds the working memory
+# of a closedness test whatever the number of masks.
+_TRIPLE_CHUNK = 1024
+
+
+def _closed(sums, masks) -> np.ndarray:
+    """Per row of the (m, n) bool `masks`: is that set of roots closed under
+    the pair sums (a, b, a+b) of `sums`?"""
+    bits = np.packbits(masks.T, axis=1)   # per root, one bit per mask
+    unclosed = np.zeros(bits.shape[1], dtype=np.uint8)
+    for start in range(0, sums.shape[1], _TRIPLE_CHUNK):
+        a, b, s = bits[sums[:, start:start + _TRIPLE_CHUNK]]
+        unclosed |= np.bitwise_or.reduce(a & b & ~s, axis=0)
+    return np.unpackbits(unclosed, count=len(masks)) == 0
 
 
 def is_closed(roots, rs: RootSystem) -> bool:
     """True iff for all a, b in the set with a+b a root, a+b is in the set."""
     tables = rs._tables
-    mask = np.zeros(len(rs.roots), dtype=bool)
+    mask = np.zeros((1, len(rs.roots)), dtype=bool)
     try:
-        mask[[tables.index[tuple(r)] for r in roots]] = True
+        mask[0, [tables.index[tuple(r)] for r in roots]] = True
     except KeyError as e:
         raise ValueError(f"element {e} is not a root of {rs.family}{rs.rank}") from None
-    return _closed_mask(tables.sums, mask)
+    return bool(_closed(tables.sums, mask)[0])
 
 
 # --- bulk verification -------------------------------------------------------
@@ -416,64 +414,47 @@ def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantRep
     ordering = class_ordering(rs, proj)
     tables = rs._tables
     n = len(rs.roots)
-    imgs = np.array(ordering.root_images, dtype=_exact_dtype(rs, proj))
-    pos_mask = imgs[:, 1] > 0
     k = len(ordering.positive_classes)
-    class_masks = []
-    for cls in ordering.positive_classes:
-        m = np.zeros(n, dtype=bool)
-        m[[tables.index[r] for r in cls]] = True
-        class_masks.append(m)
-
-    failures = []
-    left_pos_masks = {}
-    right_masks = {}
-    right_pos_masks = {}
-    side_sets_closed = True
-    for i in range(k + 2):
-        rx, ry = _boundary_ray(ordering, i)
-        cross = rx * imgs[:, 1] - ry * imgs[:, 0]
-        left = cross > 0
-        right = right_masks[i] = cross < 0
-        left_pos_masks[i] = left & pos_mask
-        right_pos_masks[i] = right & pos_mask
-        for name, mask in (("left", left), ("right", right),
-                           ("left_pos", left_pos_masks[i]),
-                           ("right_pos", right_pos_masks[i])):
-            if not _closed_mask(tables.sums, mask):
-                side_sets_closed = False
-                failures.append(f"side set {name}[{i}] is not closed")
-
+    signs = _side_signs(ordering)
+    pos = signs[-1] > 0
+    left, right = signs > 0, signs < 0
+    left_pos, right_pos = left & pos, right & pos
+    # class j (0-based) from the gcd grouping, not from the cross products
+    classes = np.zeros((k, n), dtype=bool)
+    classes[[j for j, cls in enumerate(ordering.positive_classes) for _ in cls],
+            [tables.index[r] for cls in ordering.positive_classes for r in cls]] = True
     # A positive system is checked against the full right set, not right_pos.
-    positive_systems_ok = True
-    for i in range(1, k + 1):
-        s = class_masks[i - 1] | right_masks[i]
-        ok = (int(s.sum()) == n // 2
-              and not np.any(s & s[tables.neg])
-              and bool(np.all(s | s[tables.neg]))
-              and _closed_mask(tables.sums, s))
-        if not ok:
-            positive_systems_ok = False
-            failures.append(f"class {i} union right set is not a positive system")
+    systems = classes | right[1:k + 1]
+    sides = np.stack([left, right, left_pos, right_pos], axis=1)   # (k+2, 4, n)
+    closed = _closed(tables.sums, np.concatenate([sides.reshape(-1, n), systems]))
 
-    partition_recursion_ok = True
-    for i in range(1, k + 1):
-        lhs = left_pos_masks[i + 1]
-        if np.any(left_pos_masks[i] & class_masks[i - 1]) or not np.array_equal(
-                lhs, left_pos_masks[i] | class_masks[i - 1]):
-            partition_recursion_ok = False
-            failures.append(f"left positives at {i + 1} are not the disjoint "
-                            f"union of those at {i} with class {i}")
+    sides_closed = closed[:4 * (k + 2)].reshape(k + 2, 4)
+    names = ("left", "right", "left_pos", "right_pos")   # the order of `sides`
+    failures = [f"side set {names[j]}[{i}] is not closed"
+                for i, j in zip(*np.nonzero(~sides_closed))]
 
-    boundary_ok = (not np.any(left_pos_masks[1])
-                   and not np.any(right_pos_masks[k])
-                   and np.array_equal(right_pos_masks[0], pos_mask)
-                   and np.array_equal(left_pos_masks[k + 1], pos_mask))
+    systems_ok = ((systems.sum(axis=1) == n // 2)
+                  & ~np.any(systems & systems[:, tables.neg], axis=1)
+                  & np.all(systems | systems[:, tables.neg], axis=1)
+                  & closed[4 * (k + 2):])
+    failures += [f"class {i} union right set is not a positive system"
+                 for i in np.flatnonzero(~systems_ok) + 1]
+
+    before = left_pos[1:k + 1]
+    partition_ok = ~(np.any(before & classes, axis=1)
+                     | np.any(left_pos[2:] != (before | classes), axis=1))
+    failures += [f"left positives at {i + 1} are not the disjoint "
+                 f"union of those at {i} with class {i}"
+                 for i in np.flatnonzero(~partition_ok) + 1]
+
+    boundary_ok = (not np.any(left_pos[1]) and not np.any(right_pos[k])
+                   and np.array_equal(right_pos[0], pos)
+                   and np.array_equal(left_pos[k + 1], pos))
     if not boundary_ok:
         failures.append("boundary conventions violated")
 
-    return InvariantReport(rs.family, rs.rank, k, side_sets_closed,
-                           positive_systems_ok, partition_recursion_ok,
+    return InvariantReport(rs.family, rs.rank, k, bool(sides_closed.all()),
+                           bool(systems_ok.all()), bool(partition_ok.all()),
                            boundary_ok, tuple(failures))
 
 
@@ -542,12 +523,15 @@ def ordering_report(rs: RootSystem, proj: Projection) -> dict:
         "angles": list(ordering.angles),
         "side_sets": [],
     }
-    for i in range(k + 2):
-        ss = side_sets(ordering, rs, i)
+    signs = _side_signs(ordering)
+    pos = signs[-1] > 0
+    for i, row in enumerate(signs):
         report["side_sets"].append({
             "i": i,
-            "left_pos": sorted([str(c) for c in r] for r in ss.left_pos),
-            "right_pos": sorted([str(c) for c in r] for r in ss.right_pos),
+            "left_pos": sorted([str(c) for c in r]
+                               for r in itertools.compress(rs.roots, (row > 0) & pos)),
+            "right_pos": sorted([str(c) for c in r]
+                                for r in itertools.compress(rs.roots, (row < 0) & pos)),
         })
     return report
 

@@ -399,6 +399,6 @@ def test_split_dimension_mismatch():
 
 def test_factorization_json():
     fac = bc.ul_factorize(((2, 1), (1, 1)))
-    obj = bc.factorization_to_json(fac)
+    obj = bc.ul_factorization_to_json(fac)
     assert obj["u_plus"] == [["1", "1"], ["0", "1"]]
     assert obj["p_minus"] == [["1", "0"], ["1", "1"]]

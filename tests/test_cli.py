@@ -76,6 +76,13 @@ def test_verify_parse_error(tmp_path, matrix_file):
     assert main(["verify", matrix_file, str(trunc)]) == 2
 
 
+@pytest.mark.parametrize("factor", [{"k": 1, "l": 2}, {"k": "1", "l": 2, "block": []}, 5])
+def test_verify_malformed_factor_is_an_input_error(tmp_path, matrix_file, factor):
+    fac = write(tmp_path / "fac.json", {"n": 3, "strategy": "column_major",
+                                        "factors": [factor]})
+    assert main(["verify", matrix_file, fac]) == 2
+
+
 def test_bigcell_member(tmp_path, capsys):
     path = write(tmp_path / "g.json", {"n": 2, "entries": [["2", "1"], ["1", "1"]]})
     assert main(["bigcell", path]) == 0
@@ -140,3 +147,10 @@ def test_bench_invalid_config(tmp_path):
     cfg = write(tmp_path / "cfg.json",
                 {"n": 3, "word_lengths": [5], "samples_per_length": 0, "seed": 1})
     assert main(["bench", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_bench_rejects_an_underscored_integer(tmp_path):
+    cfg = write(tmp_path / "cfg.json",
+                {"n": "1_0", "word_lengths": [5], "samples_per_length": 1, "seed": 1})
+    assert main(["bench", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()

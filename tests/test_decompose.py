@@ -369,3 +369,26 @@ def test_factorization_json_rejects_garbage():
     with pytest.raises(ValueError):
         dc.factorization_from_json({"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [
             {"k": 1, "l": 2, "block": [["1", "1_0"], ["0", "1"]]}]})
+
+
+_BLOCK = [["1", "1"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": True, "strategy": dc.COLUMN_MAJOR, "factors": []},
+    {"n": 2.0, "strategy": dc.COLUMN_MAJOR, "factors": []},
+    {"n": "2", "strategy": dc.COLUMN_MAJOR, "factors": []},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": 5},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [5]},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [{"k": 1, "l": 2}]},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [{"k": 1, "block": _BLOCK}]},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [{"k": "1_0", "l": 2, "block": _BLOCK}]},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [{"k": 1.9, "l": 2, "block": _BLOCK}]},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [{"k": True, "l": 2, "block": _BLOCK}]},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [{"k": 1, "l": " 2 ", "block": _BLOCK}]},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [{"k": 1, "l": 2, "block": 5}]},
+    {"n": 2, "strategy": dc.COLUMN_MAJOR, "factors": [{"k": 1, "l": 2, "block": ["11", "01"]}]},
+])
+def test_factorization_json_accepts_only_json_ints_and_whole_factors(obj):
+    with pytest.raises(ValueError):
+        dc.factorization_from_json(obj)

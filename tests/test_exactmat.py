@@ -153,6 +153,18 @@ def test_json_rejects_ragged():
         em.matrix_from_json({"entries": [["1"]]})
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": True, "entries": [["1"]]},
+    {"n": 1.0, "entries": [["1"]]},
+    {"n": "1", "entries": [["1"]]},
+    {"n": 1, "entries": 5},
+    {"n": 1, "entries": [5]},
+])
+def test_json_matrix_needs_a_json_int_dimension_and_lists(obj):
+    with pytest.raises(ValueError):
+        em.matrix_from_json(obj)
+
+
 @pytest.mark.parametrize("text", [
     "1_0", " +7 ", "+7", "7 ", " 7", "7\n", "1e3", "1.5", "0x10", "", "-", "--1",
     "1/", "/2", "1/-2", "1/2/3", "\u0663", "1/\u0662", "NaN", "Infinity",

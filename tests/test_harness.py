@@ -108,6 +108,22 @@ def test_config_json_round_trip():
                              "seed": 1})
 
 
+_GOOD_CONFIG = {"n": 3, "word_lengths": [5, 10], "samples_per_length": 2, "seed": 1}
+
+
+@pytest.mark.parametrize("field", ["n", "samples_per_length", "seed"])
+@pytest.mark.parametrize("value", ["1_0", " 7 ", "7", 3.9, 3.0, True, None, [3]])
+def test_config_json_accepts_only_json_ints(field, value):
+    with pytest.raises(ValueError):
+        hn.config_from_json({**_GOOD_CONFIG, field: value})
+
+
+@pytest.mark.parametrize("lengths", [["1_0"], [5, 10.0], [True, 5], "15", 5, [" 5 "]])
+def test_config_json_word_lengths_accept_only_json_ints(lengths):
+    with pytest.raises(ValueError):
+        hn.config_from_json({**_GOOD_CONFIG, "word_lengths": lengths})
+
+
 def test_compare_strategies_n2_identical():
     rep = hn.compare_strategies(hn.CampaignConfig(2, (5, 10), 15, 3))
     assert rep.all_verified

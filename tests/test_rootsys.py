@@ -291,6 +291,46 @@ def test_corrupted_side_set_is_caught():
     assert not (rt.is_closed(left_bad, rs) and rt.is_closed(right_bad, rs))
 
 
+def _swap_classes(ordering, j):
+    seqs = [list(ordering.positive_classes), list(ordering.angles), list(ordering.class_rays)]
+    for seq in seqs:
+        seq[j], seq[j + 1] = seq[j + 1], seq[j]
+    return rt.ClassOrdering(*map(tuple, seqs), ordering.root_images)
+
+
+def _move_root_across_ray(ordering, rs, j):
+    # the first root of class j goes strictly between class rays j+1 and j+2
+    at = rs.roots.index(ordering.positive_classes[j][0])
+    (ax, ay), (bx, by) = ordering.class_rays[j + 1], ordering.class_rays[j + 2]
+    images = list(ordering.root_images)
+    images[at] = (ax + bx, ay + by)
+    return rt.ClassOrdering(ordering.positive_classes, ordering.angles,
+                            ordering.class_rays, tuple(images))
+
+
+def _not_disjoint(i):
+    return f"left positives at {i + 1} are not the disjoint union of those at {i} with class {i}"
+
+
+# Reports recorded from the per-index implementation this one replaced.
+@pytest.mark.parametrize("tamper,want", [
+    (lambda o, rs: _swap_classes(o, 1),
+     rt.InvariantReport("G2", 2, 6, True, True, False, True,
+                        tuple(_not_disjoint(i) for i in (1, 2, 3)))),
+    (lambda o, rs: _move_root_across_ray(o, rs, 1),
+     rt.InvariantReport("G2", 2, 6, False, False, False, True,
+                        ("side set right[3] is not closed",
+                         "class 3 union right set is not a positive system",
+                         _not_disjoint(2), _not_disjoint(3)))),
+])
+def test_tampered_orderings_fail_the_recorded_checks(monkeypatch, tamper, want):
+    rs = rt.build("G2", 2)
+    proj = rt.sample_projection(rs, 0)
+    bad = tamper(rt.class_ordering(rs, proj), rs)
+    monkeypatch.setattr(rt, "class_ordering", lambda rs_, proj_: bad)
+    assert rt.verify_notation_invariants(rs, proj) == want
+
+
 # --- bridge and serialization ----------------------------------------------------
 
 
@@ -512,5 +552,9 @@ def test_images_past_int64_match_exact_dot_products(family, rank):
     # scaling both vectors keeps every image ray, so the ordering survives
     assert not rt.is_valid_projection(rs, merged)
     ordering = rt.class_ordering(rs, scaled)
-    assert ordering.positive_classes == rt.class_ordering(rs, base).positive_classes
+    base_ordering = rt.class_ordering(rs, base)
+    assert ordering.positive_classes == base_ordering.positive_classes
     assert rt.verify_notation_invariants(rs, scaled).all_ok
+    for i in range(len(ordering.positive_classes) + 2):
+        assert rt.side_sets(ordering, rs, i) == rt.side_sets(base_ordering, rs, i)
+    assert rt.ordering_report(rs, scaled) == rt.ordering_report(rs, base)

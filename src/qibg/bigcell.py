@@ -14,10 +14,11 @@ pass is exact, so "equal" always means equal.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import (_exact_div, as_matrix, determinant, exact_to_str, log_abs,
+from .exactmat import (_INEXACT, _integer_rows, as_matrix, determinant, exact_to_str, log_abs,
                        log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions
 
@@ -58,17 +59,6 @@ class BoundReport:
         return self.denominators_divide and self.norm_bound_ok
 
 
-def _integer_rows(g) -> tuple:
-    """(h, scale): h = scale * g as an integer matrix, scale the least common
-    denominator of the entries (1 for integer input)."""
-    g = as_matrix(g)
-    if all(isinstance(e, int) for row in g for e in row):
-        return g, 1
-    rows = [[Fraction(e) for e in row] for row in g]
-    scale = math.lcm(*(e.denominator for row in rows for e in row))
-    return tuple(tuple(int(e * scale) for e in row) for row in rows), scale
-
-
 def _bareiss_ul(m: list) -> list:
     """Fraction-free elimination of the integer matrix m from its bottom-right
     corner, in place, without pivoting; returns m.
@@ -77,7 +67,8 @@ def _bareiss_ul(m: list) -> list:
     m[j][j] = D_j; u_plus[i][j] = m[i][j] / D_j for i < j; and
     p_minus[k][c] = m[k][c] / D_{k+1} for c < k, p_minus[k][k] = D_k / D_{k+1}.
     A zero pivot D_j with j >= 1 raises NotInBigCell; m[j][j] then holds that
-    zero minor and the diagonal below it the smaller corner minors.
+    zero minor and the diagonal below it the smaller corner minors.  Every
+    division is checked to be exact.
     """
     n = len(m)
     prev = 1
@@ -90,7 +81,10 @@ def _bareiss_ul(m: list) -> list:
             row = m[i]
             f = row[j]
             for c in range(j):
-                row[c] = _exact_div(row[c] * p - f * pivot_row[c], prev)
+                q, r = divmod(row[c] * p - f * pivot_row[c], prev)
+                if r:
+                    raise ArithmeticError(_INEXACT)
+                row[c] = q
         prev = p
     return m
 
@@ -101,26 +95,36 @@ def _reassembles(m, h) -> bool:
     With U~ the upper and L~ the lower triangle of m (sharing the diagonal of
     minors), h = U~ * diag(1 / (D_k * D_{k+1})) * L~; both sides are scaled by
     P = prod_k D_k * D_{k+1} so that every entry is compared as an integer.
+    The weights P / (D_k * D_{k+1}) are folded into the rows of U~ once, and
+    both triangles are zero-padded to full rows and columns.
     """
     n = len(m)
     minors = [m[k][k] for k in range(n)] + [1]
     pair = [minors[k] * minors[k + 1] for k in range(n)]
     total = math.prod(pair)
     weight = [total // d for d in pair]
-    return all(
-        sum(m[i][k] * weight[k] * m[k][c] for k in range(max(i, c), n))
-        == total * h[i][c]
-        for i in range(n) for c in range(n))
+    upper = [[0] * i + [m[i][k] * weight[k] for k in range(i, n)] for i in range(n)]
+    lower = [[0] * c + [m[k][c] for k in range(c, n)] for c in range(n)]
+    mul = operator.mul
+    return all([sum(map(mul, u_row, l_col)) for l_col in lower] == [total * e for e in h_row]
+               for u_row, h_row in zip(upper, h))
+
+
+def _checked_ul(h) -> list:
+    """One kernel pass over a copy of the integer matrix h, checked to
+    reassemble h exactly; raises on singular input."""
+    m = _bareiss_ul([list(row) for row in h])
+    if m[0][0] == 0:
+        raise ValueError("matrix is singular")
+    assert _reassembles(m, h)
+    return m
 
 
 def _factor(g) -> tuple:
     """(m, factorization): one kernel pass over g and the UL factors read off it."""
     h, scale = _integer_rows(g)
     n = len(h)
-    m = _bareiss_ul([list(row) for row in h])
-    if m[0][0] == 0:
-        raise ValueError("matrix is singular")
-    assert _reassembles(m, h)
+    m = _checked_ul(h)
     minors = [m[k][k] for k in range(n)] + [1]
     u_plus = tuple(
         tuple(Fraction(m[i][j], minors[j]) if j > i else _ONE if j == i else _ZERO

@@ -42,20 +42,36 @@ def multiply(a, b) -> Matrix:
     )
 
 
-def _exact_div(x, y):
-    if isinstance(x, int) and isinstance(y, int):
-        q, r = divmod(x, y)
-        if r:
-            raise ArithmeticError("non-exact division in fraction-free elimination")
-        return q
-    return x / y
+_INEXACT = "non-exact division in fraction-free elimination"
+
+
+def _integer_rows(g) -> tuple:
+    """(h, scale): h = scale * g as an integer matrix, scale the least common
+    denominator of the entries (1 for integer input)."""
+    g = as_matrix(g)
+    if all(isinstance(e, int) for row in g for e in row):
+        return g, 1
+    rows = [[Fraction(e) for e in row] for row in g]
+    scale = math.lcm(*(e.denominator for row in rows for e in row))
+    return tuple(tuple(int(e * scale) for e in row) for row in rows), scale
 
 
 def determinant(a):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant via fraction-free (Bareiss) elimination with row
+    pivoting.  Rational input is scaled to integers by the least common
+    denominator s, and det(s * a) / s^n comes back as a Fraction; integer
+    input gives an int."""
     a = as_matrix(a)
-    n = len(a)
-    m = [list(r) for r in a]
+    if all(isinstance(e, int) for row in a for e in row):
+        return _integer_determinant(a)
+    h, scale = _integer_rows(a)
+    return Fraction(_integer_determinant(h), scale ** len(h))
+
+
+def _integer_determinant(h) -> int:
+    """Determinant of the integer matrix h; every division is checked exact."""
+    n = len(h)
+    m = [list(r) for r in h]
     sign = 1
     prev = 1
     for j in range(n - 1):
@@ -65,11 +81,17 @@ def determinant(a):
         if pivot != j:
             m[j], m[pivot] = m[pivot], m[j]
             sign = -sign
+        pivot_row = m[j]
+        p = pivot_row[j]
         for i in range(j + 1, n):
+            row = m[i]
+            f = row[j]
             for c in range(j + 1, n):
-                m[i][c] = _exact_div(m[i][c] * m[j][j] - m[i][j] * m[j][c], prev)
-            m[i][j] = 0
-        prev = m[j][j]
+                q, r = divmod(row[c] * p - f * pivot_row[c], prev)
+                if r:
+                    raise ArithmeticError(_INEXACT)
+                row[c] = q
+        prev = p
     return sign * m[n - 1][n - 1]
 
 

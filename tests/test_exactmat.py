@@ -1,7 +1,9 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from qibg import exactmat as em
 
@@ -61,6 +63,23 @@ def test_determinant_matches_permanent_expansion():
     for _ in range(25):
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4))
         assert em.determinant(m) == brute(m)
+
+
+def test_determinant_keeps_the_entry_type():
+    """Integer input gives an int; rational input, singular or not, gives
+    the exact Fraction."""
+    rng = random.Random(8)
+    for t in range(60):
+        n = 1 + t % 6
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if t % 4 == 0:
+            m[0] = list(m[-1])  # singular for n >= 2
+        want = sympy.Matrix(m).det()
+        got = em.determinant(m)
+        assert type(got) is int and got == want
+        q = [[Fraction(e, rng.randint(1, 7)) for e in row] for row in m]
+        got = em.determinant(q)
+        assert type(got) is Fraction and got == sympy.Matrix(q).det()
 
 
 def test_inverse_examples():

@@ -110,30 +110,23 @@ def _reassembles(m, h) -> bool:
                for u_row, h_row in zip(upper, h))
 
 
-def _checked_ul(h) -> list:
-    """One kernel pass over a copy of the integer matrix h, checked to
-    reassemble h exactly; raises on singular input."""
+def _factor(g) -> tuple:
+    """(m, factorization): one kernel pass over g and the UL factors read off it."""
+    h, scale = _integer_rows(as_matrix(g))
+    n = len(h)
     m = _bareiss_ul([list(row) for row in h])
     if m[0][0] == 0:
         raise ValueError("matrix is singular")
     assert _reassembles(m, h)
-    return m
-
-
-def _factor(g) -> tuple:
-    """(m, factorization): one kernel pass over g and the UL factors read off it."""
-    h, scale = _integer_rows(g)
-    n = len(h)
-    m = _checked_ul(h)
     minors = [m[k][k] for k in range(n)] + [1]
     u_plus = tuple(
-        tuple(Fraction(m[i][j], minors[j]) if j > i else _ONE if j == i else _ZERO
-              for j in range(n))
-        for i in range(n))
+        tuple([_ZERO] * i + [_ONE]
+              + [Fraction(x, d) if x else _ZERO for x, d in zip(row[i + 1:], minors[i + 1:])])
+        for i, row in enumerate(m))
     p_minus = tuple(
-        tuple(Fraction(m[k][c], minors[k + 1] * scale) if c <= k else _ZERO
-              for c in range(n))
-        for k in range(n))
+        tuple([Fraction(x, minors[k + 1] * scale) if x else _ZERO for x in row[:k + 1]]
+              + [_ZERO] * (n - 1 - k))
+        for k, row in enumerate(m))
     return m, BigCellFactorization(u_plus, p_minus)
 
 
@@ -143,7 +136,7 @@ def corner_minors(g) -> tuple:
     They are the pivots of one kernel pass.  A vanishing pivot stops the
     pass; the larger corners then get a determinant each.
     """
-    h, scale = _integer_rows(g)
+    h, scale = _integer_rows(as_matrix(g))
     n = len(h)
     m = [list(row) for row in h]
     try:
@@ -164,7 +157,7 @@ def corner_minors(g) -> tuple:
 
 def in_big_cell(g) -> bool:
     """True iff every corner minor is nonzero; raises on singular input."""
-    h, _ = _integer_rows(g)
+    h, _ = _integer_rows(as_matrix(g))
     try:
         det = _bareiss_ul([list(row) for row in h])[0][0]
         member = True

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigcell import NotInBigCell, _checked_ul, ul_factorize
-# determinant, multiply and ul_factorize are no longer called here, but stay
-# importable: the benchmark's tracer (perfbench/tracer.py) wraps
-# qibg.decompose.determinant, qibg.decompose.multiply and
-# qibg.decompose.ul_factorize (and the public embed below).
+from .bigcell import NotInBigCell, ul_factorize
+# determinant and multiply are no longer called here, but stay importable:
+# the benchmark's tracer (perfbench/tracer.py) wraps qibg.decompose.determinant
+# and qibg.decompose.multiply (and the public embed below).
 from .exactmat import (as_matrix, check_unimodular, determinant, exact_from_str, exact_to_str,
                        identity, json_int, log_abs, log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions, sl_class_ordering
@@ -160,7 +159,7 @@ def clockwise_with_diagnostics(matrix, ordering: ClassOrdering | None = None):
     """Clockwise class annihilation; returns the factorization and counters.
 
     Requires an A_{n-1} ordering whose positive system is the standard one.
-    The first class's kernel pass decides big-cell membership.  For
+    The first class's UL factorization decides big-cell membership.  For
     inputs outside the big cell a preliminary column sweep moves the matrix
     into it (the sweep output is unipotent, where every corner minor is 1);
     the class annihilation then runs unchanged.
@@ -178,27 +177,24 @@ def clockwise_with_diagnostics(matrix, ordering: ClassOrdering | None = None):
         base = decompose_column_major(m)
         return Factorization(n, CLOCKWISE, base.factors), diag
 
-    # Each class reads the kernel state st of the current matrix directly:
-    # u_plus[i][j] = st[i][j] / D_j with the corner minor D_j = st[j][j] != 0,
-    # so an entry of u_plus vanishes exactly when its numerator does.
     rows = [list(r) for r in m]
     factors = []
     done: list[tuple[int, int]] = []
     for a, b in positions:
         try:
-            st = _checked_ul(rows)
+            u_plus = ul_factorize(rows).u_plus
         except NotInBigCell:
             if done:
                 raise
             diag.omega_fallback = True
             _column_sweep(rows, factors.append)
-            st = _checked_ul(rows)
+            u_plus = ul_factorize(rows).u_plus
         for pa, pb in done:
-            if st[pa - 1][pb - 1] != 0:
+            if u_plus[pa - 1][pb - 1] != 0:
                 diag.reannihilations += 1
-        num = st[a - 1][b - 1]
-        if num != 0:
-            x = _annihilator_block(Fraction(num, st[b - 1][b - 1]))
+        s = u_plus[a - 1][b - 1]
+        if s != 0:
+            x = _annihilator_block(Fraction(s))
             _left_mult_block(rows, a, b, block_inverse(x))
             factors.append(BlockFactor(a, b, x))
             diag.classes_annihilated += 1

@@ -45,10 +45,9 @@ def multiply(a, b) -> Matrix:
 _INEXACT = "non-exact division in fraction-free elimination"
 
 
-def _integer_rows(g) -> tuple:
+def _integer_rows(g: Matrix) -> tuple:
     """(h, scale): h = scale * g as an integer matrix, scale the least common
-    denominator of the entries (1 for integer input)."""
-    g = as_matrix(g)
+    denominator of the entries.  An all-int g is returned itself, with scale 1."""
     if all(isinstance(e, int) for row in g for e in row):
         return g, 1
     rows = [[Fraction(e) for e in row] for row in g]
@@ -62,10 +61,9 @@ def determinant(a):
     denominator s, and det(s * a) / s^n comes back as a Fraction; integer
     input gives an int."""
     a = as_matrix(a)
-    if all(isinstance(e, int) for row in a for e in row):
-        return _integer_determinant(a)
     h, scale = _integer_rows(a)
-    return Fraction(_integer_determinant(h), scale ** len(h))
+    det = _integer_determinant(h)
+    return det if h is a else Fraction(det, scale ** len(h))
 
 
 def _integer_determinant(h) -> int:

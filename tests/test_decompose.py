@@ -10,7 +10,6 @@ from qibg import bigcell as bc
 from qibg import decompose as dc
 from qibg import exactmat as em
 from qibg import rootsys as rt
-from qibg.sl2 import block_inverse, gcd_transform
 
 I2 = ((1, 0), (0, 1))
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -158,79 +157,6 @@ def test_clockwise_rejects_mismatched_ordering():
     ordering = rt.sl_class_ordering(4, seed=0)
     with pytest.raises(ValueError):
         dc.decompose_clockwise(I3, ordering)
-
-
-def _fraction_clockwise(matrix, ordering):
-    """Reference clockwise strategy that reads each class's entry off the
-    Fraction u_plus of the public ul_factorize, as a full factorization."""
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
-    factors, done = [], []
-    diag = dc.ClockwiseDiagnostics()
-    for a, b in rt.sl_block_positions(ordering):
-        try:
-            u_plus = bc.ul_factorize(rows).u_plus
-        except bc.NotInBigCell:
-            if done:
-                raise
-            diag.omega_fallback = True
-            dc._column_sweep(rows, factors.append)
-            u_plus = bc.ul_factorize(rows).u_plus
-        diag.reannihilations += sum(u_plus[pa - 1][pb - 1] != 0 for pa, pb in done)
-        s = u_plus[a - 1][b - 1]
-        if s != 0:
-            x = dc._annihilator_block(s)
-            dc._left_mult_block(rows, a, b, block_inverse(x))
-            factors.append(dc.BlockFactor(a, b, x))
-            diag.classes_annihilated += 1
-        done.append((a, b))
-    for j in range(n - 1):
-        for i in range(j + 1, n):
-            d, v = rows[j][j], rows[i][j]
-            if v != 0 or d != 1:
-                block = ((d, 0), (-v, d))
-                dc._left_mult_block(rows, j + 1, i + 1, block)
-                factors.append(dc.BlockFactor(j + 1, i + 1, block_inverse(block)))
-    assert rows == [list(r) for r in em.identity(n)]
-    return dc.Factorization(n, dc.CLOCKWISE, tuple(factors)), diag
-
-
-def _zero_corner(m):
-    """m with a gcd block on its last two rows, so that its bottom-right
-    entry, the 1 x 1 corner minor, is 0 and the matrix leaves the big cell."""
-    n = len(m)
-    rows = [list(r) for r in m]
-    if rows[n - 1][n - 1] != 0:
-        t = gcd_transform(rows[n - 2][n - 1], rows[n - 1][n - 1])
-        dc._left_mult_block(rows, n - 1, n, t.matrix)
-    assert rows[n - 1][n - 1] == 0
-    return tuple(map(tuple, rows))
-
-
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(st.integers(3, 8), st.integers(0, 32), st.integers(0, 2 ** 32),
-       st.integers(0, 5), st.booleans())
-def test_clockwise_matches_the_fraction_reference(n, length, seed, ordering_seed, zero_corner):
-    m = em.random_word(n, length, seed)
-    if zero_corner:
-        m = _zero_corner(m)
-    ordering = rt.sl_class_ordering(n, seed=ordering_seed)
-    fac, diag = dc.clockwise_with_diagnostics(m, ordering)
-    assert (fac, diag) == _fraction_clockwise(m, ordering)
-    if zero_corner:
-        assert diag.omega_fallback
-
-
-def test_clockwise_never_calls_ul_factorize(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("ul_factorize in the class loop")
-
-    monkeypatch.setattr(dc, "ul_factorize", forbidden)
-    monkeypatch.setattr(bc, "ul_factorize", forbidden)
-    for m in (em.random_word(6, 30, 2), _zero_corner(em.random_word(6, 30, 2))):
-        fac, diag = dc.clockwise_with_diagnostics(m)
-        assert dc.verify(m, fac).all_ok and diag.reannihilations == 0
-    assert diag.omega_fallback
 
 
 def test_clockwise_runs_the_kernel_self_check_on_every_class(monkeypatch):

@@ -1,7 +1,7 @@
 """Exact SL(n,Z) block factorization with root-system ordering machinery."""
 
-from .exactmat import (as_matrix, determinant, identity, inverse_unimodular,
-                       multiply, random_word, sup_norm)
+from .exactmat import (as_matrix, determinant, identity, multiply, random_word,
+                       sup_norm)
 from .sl2 import GcdTransform, gcd_transform
 from .decompose import (BlockFactor, Factorization, decompose_clockwise,
                         decompose_column_major, embed, quasi_isometry_stats,
@@ -15,8 +15,8 @@ from .bigcell import (BigCellFactorization, corner_minors,
 from .harness import CampaignConfig, compare_strategies, run_campaign
 
 __all__ = [
-    "as_matrix", "determinant", "identity", "inverse_unimodular", "multiply",
-    "random_word", "sup_norm",
+    "as_matrix", "determinant", "identity", "multiply", "random_word",
+    "sup_norm",
     "GcdTransform", "gcd_transform",
     "BlockFactor", "Factorization", "decompose_clockwise",
     "decompose_column_major", "embed", "quasi_isometry_stats", "verify",

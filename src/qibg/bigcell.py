@@ -3,12 +3,14 @@
 A square rational matrix g lies in the big cell exactly when every
 bottom-right corner minor is nonzero; there it factors uniquely as
 g = u_plus * p_minus with u_plus upper unitriangular and p_minus lower
-triangular.  One fraction-free (Bareiss) elimination from the bottom-right
-corner yields all of this at once: its pivots are the corner minors, and
-the integers it leaves above and below the diagonal are the numerators of
-u_plus and p_minus over consecutive minors.  Rational input is scaled to an
-integer matrix by the least common denominator first.  Every division in the
-pass is exact, so "equal" always means equal.
+triangular.  One fraction-free (Bareiss) pass from the bottom-right corner,
+``exactmat._bareiss`` (the same kernel ``determinant`` runs), yields all of
+this at once: its pivots are the corner minors, it reports the smallest one
+that vanishes, so membership and singularity take one pass, and the integers
+it leaves above and below the diagonal are the numerators of u_plus and
+p_minus over consecutive minors.  Rational input is scaled to an integer
+matrix by the least common denominator first.  Every division in the pass is
+exact, so "equal" always means equal.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import (_INEXACT, _integer_rows, as_matrix, determinant, exact_to_str, log_abs,
+from .exactmat import (_bareiss, _integer_rows, as_matrix, determinant, exact_to_str, log_abs,
                        log_sup_norm, multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions
 
@@ -59,36 +61,6 @@ class BoundReport:
         return self.denominators_divide and self.norm_bound_ok
 
 
-def _bareiss_ul(m: list) -> list:
-    """Fraction-free elimination of the integer matrix m from its bottom-right
-    corner, in place, without pivoting; returns m.
-
-    With D_j the determinant of the corner of size n - j, and D_n = 1:
-    m[j][j] = D_j; u_plus[i][j] = m[i][j] / D_j for i < j; and
-    p_minus[k][c] = m[k][c] / D_{k+1} for c < k, p_minus[k][k] = D_k / D_{k+1}.
-    A zero pivot D_j with j >= 1 raises NotInBigCell; m[j][j] then holds that
-    zero minor and the diagonal below it the smaller corner minors.  Every
-    division is checked to be exact.
-    """
-    n = len(m)
-    prev = 1
-    for j in range(n - 1, 0, -1):
-        pivot_row = m[j]
-        p = pivot_row[j]
-        if p == 0:
-            raise NotInBigCell(f"corner minor of size {n - j} vanishes")
-        for i in range(j):
-            row = m[i]
-            f = row[j]
-            for c in range(j):
-                q, r = divmod(row[c] * p - f * pivot_row[c], prev)
-                if r:
-                    raise ArithmeticError(_INEXACT)
-                row[c] = q
-        prev = p
-    return m
-
-
 def _reassembles(m, h) -> bool:
     """Integer-only check that the pass m factors h exactly.
 
@@ -114,8 +86,11 @@ def _factor(g) -> tuple:
     """(m, factorization): one kernel pass over g and the UL factors read off it."""
     h, scale = _integer_rows(as_matrix(g))
     n = len(h)
-    m = _bareiss_ul([list(row) for row in h])
-    if m[0][0] == 0:
+    m = [list(row) for row in h]
+    det, vanished = _bareiss(m)
+    if vanished:
+        raise NotInBigCell(f"corner minor of size {vanished} vanishes")
+    if det == 0:
         raise ValueError("matrix is singular")
     assert _reassembles(m, h)
     minors = [m[k][k] for k in range(n)] + [1]
@@ -133,23 +108,18 @@ def _factor(g) -> tuple:
 def corner_minors(g) -> tuple:
     """Determinants of the bottom-right j x j submatrices, j = 1..n-1.
 
-    They are the pivots of one kernel pass.  A vanishing pivot stops the
-    pass; the larger corners then get a determinant each.
+    They are the pivots of one kernel pass, up to the smallest corner that
+    vanishes; the larger corners then get a determinant each.
     """
     h, scale = _integer_rows(as_matrix(g))
     n = len(h)
     m = [list(row) for row in h]
-    try:
-        _bareiss_ul(m)
-    except NotInBigCell:
-        pass
-    out = []
-    for j in range(n - 1, 0, -1):
-        out.append(m[j][j])
-        if m[j][j] == 0:
-            break
-    out += [determinant(tuple(row[j:] for row in h[j:]))
-            for j in range(n - 1 - len(out), 0, -1)]
+    vanished = _bareiss(m)[1] or n
+    out = [m[j][j] for j in range(n - 1, n - vanished, -1)]
+    if vanished < n:
+        out.append(0)
+        out += [determinant(tuple(row[j:] for row in h[j:]))
+                for j in range(n - 1 - vanished, 0, -1)]
     if scale == 1:
         return tuple(out)
     return tuple(Fraction(d, scale ** size) for size, d in enumerate(out, 1))
@@ -158,15 +128,10 @@ def corner_minors(g) -> tuple:
 def in_big_cell(g) -> bool:
     """True iff every corner minor is nonzero; raises on singular input."""
     h, _ = _integer_rows(as_matrix(g))
-    try:
-        det = _bareiss_ul([list(row) for row in h])[0][0]
-        member = True
-    except NotInBigCell:
-        det = determinant(h)  # the pass stopped short of the full minor
-        member = False
+    det, vanished = _bareiss([list(row) for row in h])
     if det == 0:
         raise ValueError("matrix is singular")
-    return member
+    return not vanished
 
 
 def ul_factorize(g) -> BigCellFactorization:

@@ -117,7 +117,15 @@ def _is_identity(rows) -> bool:
 
 
 def decompose_column_major(matrix) -> Factorization:
-    """Column-by-column gcd sweep followed by upper-triangular cleanup."""
+    """Column-by-column gcd sweep followed by upper-triangular cleanup.
+
+    The sweep's intermediate entries are not minors of the input, and on
+    random words they grow exponentially with n.  Measured on
+    ``random_word(n, 4 * n, seed)``, seeds 1-5 (entries of at most 4 bits),
+    the largest factor entry has 12-624 bits at n=32, 16-1449 at n=48 and
+    up to 836,882 at n=56.  The guaranteed norm bound is +inf from n=33, so
+    ``violations`` reads 0 there whatever the growth.
+    """
     m = check_unimodular(as_matrix(matrix))
     n = len(m)
     rows = [list(r) for r in m]

@@ -56,41 +56,55 @@ def _integer_rows(g: Matrix) -> tuple:
 
 
 def determinant(a):
-    """Exact determinant via fraction-free (Bareiss) elimination with row
-    pivoting.  Rational input is scaled to integers by the least common
-    denominator s, and det(s * a) / s^n comes back as a Fraction; integer
-    input gives an int."""
+    """Exact determinant via one fraction-free (Bareiss) pass, ``_bareiss``.
+    Rational input is scaled to integers by the least common denominator s,
+    and det(s * a) / s^n comes back as a Fraction; integer input gives an int."""
     a = as_matrix(a)
     h, scale = _integer_rows(a)
-    det = _integer_determinant(h)
+    det = _bareiss([list(row) for row in h])[0]
     return det if h is a else Fraction(det, scale ** len(h))
 
 
-def _integer_determinant(h) -> int:
-    """Determinant of the integer matrix h; every division is checked exact."""
-    n = len(h)
-    m = [list(r) for r in h]
+def _bareiss(m: list) -> tuple:
+    """(det, vanished): fraction-free elimination of the integer matrix m from
+    its bottom-right corner, in place; the one elimination in the package.
+
+    With D_j the determinant of the corner of size n - j, and D_n = 1, a pass
+    in which no pivot vanishes leaves m[j][j] = D_j (so det = m[0][0]); the
+    integers above the diagonal are the numerators of the upper unitriangular
+    UL factor, u_plus[i][j] = m[i][j] / D_j for i < j, and those below it of
+    the lower one, p_minus[k][c] = m[k][c] / D_{k+1} for c <= k.
+
+    ``vanished`` is the size of the smallest corner minor (of size < n) that
+    vanishes, or 0 if none does.  At a zero pivot the first row above with a
+    nonzero entry in the pivot column is swapped in and the sign flipped, so
+    the pass still yields the determinant; if no such row exists it stops and
+    returns (0, vanished).  Every division is checked to be exact.
+    """
+    n = len(m)
     sign = 1
+    vanished = 0
     prev = 1
-    for j in range(n - 1):
-        pivot = next((i for i in range(j, n) if m[i][j] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != j:
-            m[j], m[pivot] = m[pivot], m[j]
+    for j in range(n - 1, 0, -1):
+        if m[j][j] == 0:
+            vanished = vanished or n - j
+            k = next((i for i in range(j) if m[i][j]), None)
+            if k is None:
+                return 0, vanished
+            m[j], m[k] = m[k], m[j]
             sign = -sign
         pivot_row = m[j]
         p = pivot_row[j]
-        for i in range(j + 1, n):
+        for i in range(j):
             row = m[i]
             f = row[j]
-            for c in range(j + 1, n):
+            for c in range(j):
                 q, r = divmod(row[c] * p - f * pivot_row[c], prev)
                 if r:
                     raise ArithmeticError(_INEXACT)
                 row[c] = q
         prev = p
-    return sign * m[n - 1][n - 1]
+    return sign * m[0][0], vanished
 
 
 def check_unimodular(a) -> Matrix:
@@ -104,33 +118,6 @@ def check_unimodular(a) -> Matrix:
     if d != 1:
         raise ValueError(f"matrix has determinant {d}, expected 1")
     return a
-
-
-def inverse_unimodular(a) -> Matrix:
-    """Exact inverse of a determinant-1 integer matrix (again integral)."""
-    a = check_unimodular(a)
-    n = len(a)
-    # Gauss-Jordan over Q; the result is integral because det = 1.
-    work = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if work[i][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [e / pv for e in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [e - f * p for e, p in zip(work[i], work[col])]
-    inv = []
-    for row in work:
-        ints = []
-        for e in row[n:]:
-            if e.denominator != 1:
-                raise ArithmeticError("inverse of a unimodular matrix must be integral")
-            ints.append(int(e))
-        inv.append(tuple(ints))
-    return tuple(inv)
 
 
 def sup_norm(a):

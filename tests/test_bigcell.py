@@ -199,11 +199,14 @@ def _outcome(fn, g):
 
 @st.composite
 def integer_matrices(draw):
-    """Random integer matrices, n = 2..7, with a share made singular or made
-    to leave the big cell at a chosen corner."""
+    """Random integer matrices, n = 2..7, dense or sparse (entries in
+    {-1, 0, 1}, mostly 0, so the kernel meets zero pivots, row swaps and
+    all-zero columns), with a share made singular or made to leave the big
+    cell at a chosen corner."""
     n = draw(st.integers(2, 7))
-    bound = draw(st.sampled_from((1, 3, 50)))
-    rows = [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
+    entry = draw(st.sampled_from((st.integers(-1, 1), st.integers(-3, 3),
+                                  st.integers(-50, 50), st.sampled_from((0, 0, 0, 0, 1, -1)))))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
     defect = draw(st.sampled_from(("none", "corner", "singular")))
     if defect == "corner":
         j = n - draw(st.integers(1, n - 1))  # the corner rows j..n-1 turn dependent
@@ -279,7 +282,8 @@ def test_kernel_rational_input_matches_fraction_elimination(g, q):
 def test_kernel_self_check_rejects_any_wrong_numerator():
     g = em.random_word(5, 40, 3)
     h = [list(row) for row in g]
-    m = bc._bareiss_ul([list(row) for row in g])
+    m = [list(row) for row in g]
+    assert em._bareiss(m) == (1, 0)
     assert bc._reassembles(m, h)
     for i in range(5):
         for j in range(5):

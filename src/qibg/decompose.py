@@ -258,7 +258,9 @@ def _factor_log_norm(f: BlockFactor) -> float:
 
 
 def _check_norm_control(fac: Factorization, bound: float) -> None:
-    if any(_factor_log_norm(f) > bound for f in fac.factors):
+    # log_abs is nondecreasing, so one log of the largest entry decides for all
+    top = max((abs(e) for f in fac.factors for row in f.block for e in row), default=1)
+    if log_abs(max(1, top)) > bound:
         raise AssertionError("factor norm exceeds the guaranteed growth bound")
 
 

@@ -2,7 +2,7 @@
 
 Every supported system is half-integral, so each system is computed on one
 int64 array: its doubled lattice, row i being 2r for the i-th root r.  The
-negation map, the pair sums, the proportionality table and the plane images
+negation map, the pair sums, the count of root lines and the plane images
 all derive from that array.  The roots handed out keep their exact
 coordinates: plain ints, and Fractions only for the half-integer (spin)
 coordinates of F4 and E6-E8.
@@ -20,10 +20,9 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +79,8 @@ class ClassOrdering:
     angles: tuple             # float ray angle per class, in (0, pi)
     class_rays: tuple         # primitive integer (x, y) per class ray
     root_images: tuple        # integer (x, y) image per root, aligned with rs.roots
+    # set by class_ordering alone; see _ordering_arrays
+    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -122,37 +123,22 @@ def _vec(coeffs, dim) -> tuple:
 
 
 def _classical(family: str, n: int):
-    roots = set()
     if family == "A":
-        dim = n + 1
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    roots.add(_vec([(i, 1), (j, -1)], dim))
-        return roots, dim
-    dim = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.add(_vec([(i, si), (j, sj)], dim))
+        return {_vec([(i, 1), (j, -1)], n + 1)
+                for i, j in itertools.permutations(range(n + 1), 2)}, n + 1
+    roots = {_vec([(i, si), (j, sj)], n) for i, j in itertools.combinations(range(n), 2)
+             for si in (1, -1) for sj in (1, -1)}
     if family in ("B", "BC"):
-        for i in range(n):
-            roots.add(_vec([(i, 1)], dim))
-            roots.add(_vec([(i, -1)], dim))
+        roots.update(_vec([(i, s)], n) for i in range(n) for s in (1, -1))
     if family in ("C", "BC"):
-        for i in range(n):
-            roots.add(_vec([(i, 2)], dim))
-            roots.add(_vec([(i, -2)], dim))
-    return roots, dim
+        roots.update(_vec([(i, s)], n) for i in range(n) for s in (2, -2))
+    return roots, n
 
 
 def _g2():
     roots, dim = _classical("A", 2)
-    for i in range(3):
-        others = [j for j in range(3) if j != i]
-        roots.add(_vec([(i, 2), (others[0], -1), (others[1], -1)], dim))
-        roots.add(_vec([(i, -2), (others[0], 1), (others[1], 1)], dim))
+    roots.update(_vec([(i, 2 * s), (j, -s), (k, -s)], dim)
+                 for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)) for s in (1, -1))
     return roots, dim
 
 
@@ -166,9 +152,7 @@ def _f4():
 def _e8():
     roots, dim = _classical("D", 8)
     # the spin roots with an even number of minus signs, doubled
-    for signs in itertools.product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.add(signs)
+    roots.update(s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0)
     return roots, dim
 
 
@@ -180,24 +164,16 @@ def _e_subsystem(constraints):
 
 
 def _lex_positive(root) -> bool:
-    for c in root:
-        if c != 0:
-            return c > 0
-    return False
+    return next((c > 0 for c in root if c != 0), False)
 
 
 def _compute_simple_roots(roots) -> tuple:
+    """The positive roots (lexicographically) that are no sum of two positive roots."""
     positives = sorted(r for r in roots if _lex_positive(r))
     pos_set = set(positives)
-    simple = []
-    for r in positives:
-        decomposable = any(
-            s != r and tuple(a - b for a, b in zip(r, s)) in pos_set
-            for s in pos_set
-        )
-        if not decomposable:
-            simple.append(r)
-    return tuple(simple)
+    return tuple(r for r in positives
+                 if not any(s != r and tuple(a - b for a, b in zip(r, s)) in pos_set
+                            for s in pos_set))
 
 
 def _halve(doubled) -> Root:
@@ -210,14 +186,8 @@ def build(family: str, rank: int) -> RootSystem:
 
     A system is immutable, so each (family, rank) is built once and shared,
     together with the lookup tables it carries."""
-    if family == "A" and rank >= 1:
-        roots, dim = _classical("A", rank)
-    elif family in ("B", "C") and rank >= 2:
+    if rank >= {"A": 1, "BC": 1, "B": 2, "C": 2, "D": 3}.get(family, math.inf):
         roots, dim = _classical(family, rank)
-    elif family == "D" and rank >= 3:
-        roots, dim = _classical("D", rank)
-    elif family == "BC" and rank >= 1:
-        roots, dim = _classical("BC", rank)
     elif family == "G2" and rank == 2:
         roots, dim = _g2()
     elif family == "F4" and rank == 4:
@@ -248,7 +218,7 @@ class _Tables(NamedTuple):
     lattice: np.ndarray   # row i is 2 * rs.roots[i]; int64, entries in [-4, 4]
     neg: np.ndarray       # row of -r, per row r
     sums: np.ndarray      # columns (a, b, row of a+b) for every a <= b with a+b a root
-    prop: np.ndarray      # prop[a, b]: roots a and b are proportional
+    lines: int            # number of root lines
 
 
 def _system_tables(rs: RootSystem) -> _Tables:
@@ -261,7 +231,8 @@ def _system_tables(rs: RootSystem) -> _Tables:
     # Coordinates of 2r, and of a sum of two such vectors, lie in [-8, 8], where
     # this base-17 key is injective.  It is linear: the key of a sum is the sum
     # of the keys, so one n x n addition finds every pair sum.
-    key = lattice @ 17 ** np.arange(dim, dtype=np.int64)
+    powers = 17 ** np.arange(dim, dtype=np.int64)
+    key = lattice @ powers
     order = np.argsort(key)
 
     def row_of(k):
@@ -270,20 +241,22 @@ def _system_tables(rs: RootSystem) -> _Tables:
 
     sum_rows = row_of(key[:, None] + key[None, :])
     a, b = np.nonzero(np.triu(sum_rows >= 0))
-    gram = lattice @ lattice.T
-    norms = np.diag(gram)
-    return _Tables(index={r: i for i, r in enumerate(rs.roots)},
-                   lattice=lattice,
-                   neg=row_of(-key),
-                   sums=np.stack([a, b, sum_rows[a, b]]),
-                   # Cauchy-Schwarz is an equality exactly for parallel vectors
-                   prop=gram * gram == np.outer(norms, norms))
+    # A row divided by its content is the primitive vector of its line, up to
+    # sign, and the key is odd, so the key's absolute value names the line.
+    primitive = lattice // np.gcd.reduce(lattice, axis=1)[:, None]
+    return _Tables(index={r: i for i, r in enumerate(rs.roots)}, lattice=lattice,
+                   neg=row_of(-key), sums=np.stack([a, b, sum_rows[a, b]]),
+                   lines=len(set(np.abs(primitive @ powers).tolist())))
 
 
-def _exact_dtype(values):
-    # Below 2**30 in magnitude, every value and every 2x2 cross product of two
-    # of them fits in int64; beyond, exact Python ints.
-    return np.int64 if max(map(abs, values)) < 2 ** 30 else object
+def _image_array(rs: RootSystem, proj: Projection) -> np.ndarray:
+    # |u.2r| <= 4 * dim * max|u| bounds every image coordinate; below 2**30,
+    # every 2x2 cross product of two images fits in int64, else Python ints.
+    bound = 4 * rs.ambient_dim * max(map(abs, map(operator.index, (*proj.u, *proj.w))))
+    dtype = np.int64 if bound < 2 ** 30 else object
+    xy = (rs._tables.lattice.astype(dtype, copy=False)
+          @ np.array([proj.u, proj.w], dtype=dtype).T)
+    return xy >> (((xy[:, 0] | xy[:, 1]) & 1) == 0)[:, None]   # halve the even pairs
 
 
 def root_images(rs: RootSystem, proj: Projection) -> tuple:
@@ -291,37 +264,59 @@ def root_images(rs: RootSystem, proj: Projection) -> tuple:
 
     One matrix product gives (u.2r, w.2r) for every root r; the image is half
     of it, or the pair itself where halving would leave a half-integer."""
-    # |u.2r| <= 4 * dim * max|u| bounds every image coordinate
-    dtype = _exact_dtype(4 * rs.ambient_dim * operator.index(c) for v in (proj.u, proj.w)
-                         for c in v)
-    xy = (rs._tables.lattice.astype(dtype, copy=False)
-          @ np.array([proj.u, proj.w], dtype=dtype).T)
-    xy[np.all(xy % 2 == 0, axis=1)] //= 2
-    return tuple(map(tuple, xy.tolist()))
+    return tuple(map(tuple, _image_array(rs, proj).tolist()))
 
 
-def _is_generic(rs: RootSystem, proj: Projection, images) -> bool:
-    xy = np.array(images, dtype=_exact_dtype(itertools.chain.from_iterable(images)))
-    x, y = xy[:, 0], xy[:, 1]
-    # image lines coincide exactly where the root lines do
-    return bool(np.all(y != 0)
-                and np.array_equal(np.outer(x, y) == np.outer(y, x), rs._tables.prop))
+def _slope_steps(xy) -> np.ndarray:
+    # cross products of neighbouring images, each turned into the upper
+    # half-plane: negative where the slope x/y rises, zero where it stays
+    x, y = (xy * np.sign(xy[:, 1:])).T
+    return x[:-1] * y[1:] - y[:-1] * x[1:]
+
+
+def _images(rs: RootSystem, proj: Projection) -> tuple:
+    """The image array, its rows by increasing slope x/y, and the image line
+    index 0, 1, ... per entry of that order; both None if an image has y = 0."""
+    xy = _image_array(rs, proj)
+    x, y = xy.T
+    if not y.all():
+        return xy, None, None
+    steps = None
+    if xy.dtype != object:
+        # Rounding keeps the order of two slopes or ties them, so a float sort is
+        # exact unless it tied two distinct slopes; the stable one measured faster.
+        order = np.argsort(x / y, kind="stable")
+        steps = _slope_steps(xy[order])
+    if steps is None or (steps > 0).any():
+        order = np.array(sorted(range(len(xy)), key=lambda i: Fraction(int(x[i]), int(y[i]))))
+        steps = _slope_steps(xy[order])
+    line = np.zeros(len(xy), dtype=np.intp)
+    np.cumsum(steps != 0, out=line[1:])
+    return xy, order, line
+
+
+def _is_generic(rs: RootSystem, proj: Projection, images: tuple) -> bool:
+    # A linear map sends proportional roots to parallel images, so root lines
+    # stay distinct exactly when there are as many image lines as root lines.
+    _, order, line = images
+    return bool(order is not None and line[-1] + 1 == rs._tables.lines)
 
 
 def is_valid_projection(rs: RootSystem, proj: Projection) -> bool:
     """No root image on the real axis, and distinct root lines stay distinct."""
-    return _is_generic(rs, proj, root_images(rs, proj))
+    return _is_generic(rs, proj, _images(rs, proj))
 
 
 def sample_projection(rs: RootSystem, seed: int, span: int = 1000,
                       max_tries: int = 10_000) -> Projection:
     """Rejection-sample a valid projection; deterministic for a fixed seed."""
+    if span < 1 or max_tries < 1:
+        raise ValueError(f"need span >= 1 and max_tries >= 1, got {span} and {max_tries}")
     rng = random.Random(seed)
     dim = rs.ambient_dim
     for _ in range(max_tries):
-        u = tuple(rng.randint(-span, span) for _ in range(dim))
-        w = tuple(rng.randint(-span, span) for _ in range(dim))
-        proj = Projection(u, w)
+        proj = Projection(*(tuple(rng.randint(-span, span) for _ in range(dim))
+                            for _ in "uw"))
         if is_valid_projection(rs, proj):
             return proj
     raise InvalidProjectionError(
@@ -333,37 +328,51 @@ def positive_roots(rs: RootSystem, proj: Projection) -> frozenset:
     return frozenset(r for cls in class_ordering(rs, proj).positive_classes for r in cls)
 
 
-def _primitive(x: int, y: int) -> tuple[int, int]:
-    g = gcd(abs(x), abs(y))
-    return (x // g, y // g)
-
-
 def class_ordering(rs: RootSystem, proj: Projection) -> ClassOrdering:
     """Group positive roots by ray and list the rays in clockwise order."""
-    imgs = root_images(rs, proj)
-    if not _is_generic(rs, proj, imgs):
+    images = _images(rs, proj)
+    if not _is_generic(rs, proj, images):
         raise InvalidProjectionError("projection violates the genericity conditions")
-    groups: dict[tuple[int, int], list] = {}
-    for r, (x, y) in zip(rs.roots, imgs):
-        if y > 0:
-            groups.setdefault(_primitive(x, y), []).append(r)
-    # clockwise: strictly decreasing angle in (0, pi); for upper-half rays
-    # A precedes B exactly when cross(A, B) < 0
-    rays = sorted(groups, key=cmp_to_key(lambda a, b: a[0] * b[1] - a[1] * b[0]))
-    classes = tuple(tuple(sorted(groups[ray])) for ray in rays)
-    angles = tuple(math.atan2(y, x) for x, y in rays)
-    return ClassOrdering(classes, angles, tuple(rays), imgs)
+    xy, order, line = images
+    # Every image line holds a root and its negative, so the classes are the
+    # lines in slope order, and increasing x/y is clockwise above the real axis.
+    up = xy[order, 1] > 0
+    rows, class_ids = order[up], line[up]
+    ends = np.cumsum(np.bincount(class_ids))   # one past each class's last row
+    head = xy[rows[ends - 1]]
+    rays = head // np.gcd(head[:, :1], head[:, 1:])
+    picked = list(map(rs.roots.__getitem__, rows.tolist()))
+    if len(picked) == len(ends):   # one root per class: nothing to sort
+        classes = tuple(zip(picked))
+    else:
+        bounds = [0, *ends.tolist()]
+        classes = tuple(tuple(sorted(picked[a:b])) for a, b in zip(bounds, bounds[1:]))
+    ray_list = tuple(map(tuple, rays.tolist()))
+    ordering = ClassOrdering(classes, tuple(math.atan2(y, x) for x, y in ray_list),
+                             ray_list, tuple(map(tuple, xy.tolist())))
+    object.__setattr__(ordering, "_arrays", (
+        xy, np.concatenate([[(-1, 0)], rays, [(1, 0)]]), rows, class_ids))
+    return ordering
 
 
-def _side_signs(ordering: ClassOrdering) -> np.ndarray:
+def _ordering_arrays(ordering: ClassOrdering, rs: RootSystem) -> tuple:
+    """The image array, the boundary rays ((-1, 0), the class rays clockwise,
+    (1, 0)), and the positive roots' rows and class indices, class by class:
+    as class_ordering left them, or rebuilt from the fields in exact ints."""
+    if ordering._arrays is not None:
+        return ordering._arrays
+    classes = ordering.positive_classes
+    return (np.array(ordering.root_images, dtype=object),
+            np.array([(-1, 0), *ordering.class_rays, (1, 0)], dtype=object),
+            [rs._tables.index[r] for cls in classes for r in cls],
+            [j for j, cls in enumerate(classes) for _ in cls])
+
+
+def _side_signs(images, rays) -> np.ndarray:
     """Sign of cross(ray, image) per boundary ray (row) and root (column): +1
-    left of the ray, -1 right of it.  The rays are (-1, 0), the class rays in
-    clockwise order, then (1, 0), so row i is side-set index i, and the last
+    left of the ray, -1 right of it.  Row i is side-set index i, and the last
     row is +1 exactly on the positive roots."""
-    dtype = _exact_dtype(itertools.chain(*ordering.root_images, *ordering.class_rays))
-    rays = np.array([(-1, 0), *ordering.class_rays, (1, 0)], dtype=dtype)
-    xy = np.array(ordering.root_images, dtype=dtype)
-    cross = np.outer(rays[:, 0], xy[:, 1]) - np.outer(rays[:, 1], xy[:, 0])
+    cross = np.outer(rays[:, 0], images[:, 1]) - np.outer(rays[:, 1], images[:, 0])
     return np.sign(cross).astype(np.int8)
 
 
@@ -373,7 +382,7 @@ def side_sets(ordering: ClassOrdering, rs: RootSystem, i: int) -> SideSets:
     k = len(ordering.positive_classes)
     if not 0 <= i <= k + 1:
         raise ValueError(f"side-set index {i} out of range 0..{k + 1}")
-    signs = _side_signs(ordering)
+    signs = _side_signs(*_ordering_arrays(ordering, rs)[:2])
     left, right, pos = signs[i] > 0, signs[i] < 0, signs[-1] > 0
     return SideSets(i, *(frozenset(itertools.compress(rs.roots, m))
                          for m in (left, right, left & pos, right & pos)))
@@ -415,14 +424,14 @@ def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantRep
     tables = rs._tables
     n = len(rs.roots)
     k = len(ordering.positive_classes)
-    signs = _side_signs(ordering)
+    images, rays, rows, class_ids = _ordering_arrays(ordering, rs)
+    signs = _side_signs(images, rays)
     pos = signs[-1] > 0
     left, right = signs > 0, signs < 0
     left_pos, right_pos = left & pos, right & pos
-    # class j (0-based) from the gcd grouping, not from the cross products
+    # class j (0-based) from the grouping, not from the side signs
     classes = np.zeros((k, n), dtype=bool)
-    classes[[j for j, cls in enumerate(ordering.positive_classes) for _ in cls],
-            [tables.index[r] for cls in ordering.positive_classes for r in cls]] = True
+    classes[class_ids, rows] = True
     # A positive system is checked against the full right set, not right_pos.
     systems = classes | right[1:k + 1]
     sides = np.stack([left, right, left_pos, right_pos], axis=1)   # (k+2, 4, n)
@@ -433,9 +442,9 @@ def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantRep
     failures = [f"side set {names[j]}[{i}] is not closed"
                 for i, j in zip(*np.nonzero(~sides_closed))]
 
-    systems_ok = ((systems.sum(axis=1) == n // 2)
-                  & ~np.any(systems & systems[:, tables.neg], axis=1)
-                  & np.all(systems | systems[:, tables.neg], axis=1)
+    negated = systems[:, tables.neg]
+    systems_ok = ((np.count_nonzero(systems, axis=1) == n // 2)
+                  & ~np.any(systems & negated, axis=1) & np.all(systems | negated, axis=1)
                   & closed[4 * (k + 2):])
     failures += [f"class {i} union right set is not a positive system"
                  for i in np.flatnonzero(~systems_ok) + 1]
@@ -487,12 +496,9 @@ def sl_block_positions(ordering: ClassOrdering) -> tuple:
         if len(cls) != 1:
             raise ValueError("A-type classes must be singletons")
         root = cls[0]
-        plus = [i for i, c in enumerate(root) if c == 1]
-        minus = [i for i, c in enumerate(root) if c == -1]
-        if len(plus) != 1 or len(minus) != 1 or any(
-                c not in (0, 1, -1) for c in root):
+        if sorted(root) != [-1, *[0] * (len(root) - 2), 1]:
             raise ValueError("ordering is not built on A-type roots e_a - e_b")
-        a, b = plus[0], minus[0]
+        a, b = root.index(1), root.index(-1)
         if a >= b:
             raise ValueError("ordering does not use the standard positive system")
         positions.append((a + 1, b + 1))
@@ -513,26 +519,22 @@ def root_system_to_json(rs: RootSystem) -> dict:
 def ordering_report(rs: RootSystem, proj: Projection) -> dict:
     """Class lists plus per-index side-set memberships, JSON-ready."""
     ordering = class_ordering(rs, proj)
-    k = len(ordering.positive_classes)
     report = {
         "family": rs.family,
         "rank": rs.rank,
-        "class_count": k,
+        "class_count": len(ordering.positive_classes),
         "classes": [[[str(c) for c in r] for r in cls]
                     for cls in ordering.positive_classes],
         "angles": list(ordering.angles),
-        "side_sets": [],
     }
-    signs = _side_signs(ordering)
+    signs = _side_signs(*_ordering_arrays(ordering, rs)[:2])
     pos = signs[-1] > 0
-    for i, row in enumerate(signs):
-        report["side_sets"].append({
-            "i": i,
-            "left_pos": sorted([str(c) for c in r]
-                               for r in itertools.compress(rs.roots, (row > 0) & pos)),
-            "right_pos": sorted([str(c) for c in r]
-                                for r in itertools.compress(rs.roots, (row < 0) & pos)),
-        })
+
+    def names(mask):
+        return sorted([str(c) for c in r] for r in itertools.compress(rs.roots, mask & pos))
+
+    report["side_sets"] = [{"i": i, "left_pos": names(row > 0), "right_pos": names(row < 0)}
+                           for i, row in enumerate(signs)]
     return report
 
 
@@ -540,7 +542,6 @@ def render_rays_svg(rs: RootSystem, proj: Projection, size: int = 480) -> str:
     """Static SVG of the projected root rays (rendering only; no decision
     depends on these floats)."""
     ordering = class_ordering(rs, proj)
-    imgs = ordering.root_images
     half = size / 2
     radius = half - 20
     parts = [
@@ -550,15 +551,14 @@ def render_rays_svg(rs: RootSystem, proj: Projection, size: int = 480) -> str:
         f'<line x1="0" y1="{half}" x2="{size}" y2="{half}" stroke="#ccc"/>',
         f'<line x1="{half}" y1="0" x2="{half}" y2="{size}" stroke="#ccc"/>',
     ]
-    for x, y in imgs:
+
+    def point(x, y):   # where the direction (x, y) meets the drawn circle
         r = math.hypot(x, y)
-        px = half + radius * x / r
-        py = half - radius * y / r
+        return half + radius * x / r, half - radius * y / r
+
+    for px, py in itertools.starmap(point, ordering.root_images):
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#555"/>')
-    for idx, (x, y) in enumerate(ordering.class_rays, start=1):
-        r = math.hypot(x, y)
-        px = half + radius * x / r
-        py = half - radius * y / r
+    for idx, (px, py) in enumerate(itertools.starmap(point, ordering.class_rays), start=1):
         parts.append(f'<line x1="{half}" y1="{half}" x2="{px:.2f}" y2="{py:.2f}" '
                      f'stroke="#c33" stroke-width="1.5"/>')
         parts.append(f'<text x="{px:.2f}" y="{py - 6:.2f}" font-size="11" '

@@ -341,6 +341,23 @@ def test_guaranteed_bound_holds_everywhere():
             assert all(v <= bound for v in st.per_factor_log_norms)
 
 
+def test_norm_control_flags_exactly_the_factors_over_the_bound():
+    # the check takes one log of the largest entry; the verdict is that of
+    # testing every factor's log norm
+    m = em.random_word(4, 30, 12)
+    factors = dc.decompose_column_major(m).factors + (dc.BlockFactor(1, 2, ((1, 0), (0, 1))),)
+    for fac in (dc.Factorization(4, "column-major", factors),
+                dc.Factorization(4, "column-major", ())):
+        logs = [math.log(max(1, *(abs(e) for row in f.block for e in row)))
+                for f in fac.factors]
+        for bound in sorted({0.0, *logs, *(v - 1e-9 for v in logs)}):
+            if any(v > bound for v in logs):
+                with pytest.raises(AssertionError, match="guaranteed growth bound"):
+                    dc._check_norm_control(fac, bound)
+            else:
+                dc._check_norm_control(fac, bound)
+
+
 def test_clockwise_past_the_float_norm_ceiling():
     # the clockwise bound (2n+4)^(n^2-n+1) exceeds the largest float from n=15
     m = em.random_word(16, 40, 16)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ def test_bc1_projection_allows_shared_line():
     ordering = rt.class_ordering(rs, proj)
     assert len(ordering.positive_classes) == 1
     assert len(ordering.positive_classes[0]) == 2
+
+
+@pytest.mark.parametrize("kwargs", [{"span": 0}, {"span": -3}, {"max_tries": 0},
+                                    {"max_tries": -1}])
+def test_sample_projection_rejects_empty_search(kwargs):
+    # span 0 can draw only the zero projection, and zero tries can find
+    # nothing; both are refused before any draw
+    with pytest.raises(ValueError, match="span >= 1 and max_tries >= 1"):
+        rt.sample_projection(rt.build("E8", 8), 0, **kwargs)
 
 
 def test_sample_projection_deterministic_snapshot():
@@ -466,7 +476,9 @@ def test_lattice_tables_match_exact_loops(family, rank, count):
             if i <= j and _exact_sum(a, b) in index}
     assert set(map(tuple, tables.sums.T.tolist())) == sums
     assert tables.sums.shape[1] == len(sums)
-    assert tables.prop.tolist() == [[_parallel(a, b) for b in rs.roots] for a in rs.roots]
+    # a root opens a line when it is parallel to no root listed before it
+    parallel = _parallel_table(rs)
+    assert tables.lines == sum(not any(row[:i]) for i, row in enumerate(parallel))
 
 
 def test_equal_systems_built_separately_get_identical_tables():
@@ -478,8 +490,8 @@ def test_equal_systems_built_separately_get_identical_tables():
     assert twin == rs and hash(twin) == hash(rs) and twin is not rs
     mine, theirs = rs._tables, twin._tables
     assert mine is not theirs and twin._tables is theirs
-    assert mine.index == theirs.index
-    for name in ("lattice", "neg", "sums", "prop"):
+    assert mine.index == theirs.index and mine.lines == theirs.lines
+    for name in ("lattice", "neg", "sums"):
         assert np.array_equal(getattr(mine, name), getattr(theirs, name))
 
 
@@ -528,6 +540,11 @@ def _exact_images(rs, proj):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _parallel_table(rs):
+    return [[_parallel(a, b) for b in rs.roots] for a in rs.roots]
+
+
 def _valid_brute_force(parallel, imgs):
     return all(y != 0 for _, y in imgs) and all(
         (xa * yb == ya * xb) == parallel[i][j]
@@ -543,7 +560,7 @@ def test_images_past_int64_match_exact_dot_products(family, rank):
     shifted = rt.Projection(tuple(big * c + 1 for c in base.u),
                             tuple(big * c - 3 for c in base.w))
     merged = rt.Projection(scaled.u, scaled.u)
-    parallel = [[_parallel(a, b) for b in rs.roots] for a in rs.roots]
+    parallel = _parallel_table(rs)
     for proj in (scaled, shifted, merged):
         imgs = rt.root_images(rs, proj)
         assert imgs == _exact_images(rs, proj)
@@ -558,3 +575,56 @@ def test_images_past_int64_match_exact_dot_products(family, rank):
     for i in range(len(ordering.positive_classes) + 2):
         assert rt.side_sets(ordering, rs, i) == rt.side_sets(base_ordering, rs, i)
     assert rt.ordering_report(rs, scaled) == rt.ordering_report(rs, base)
+
+
+def _classes_brute_force(rs, imgs):
+    """Positive roots grouped by exact ray, the rays by increasing x/y, which
+    is clockwise above the real axis."""
+    rays = {}
+    for r, (x, y) in zip(rs.roots, imgs):
+        if y > 0:
+            rays.setdefault(Fraction(x, y), []).append(r)
+    slopes = sorted(rays)
+    return (tuple(tuple(sorted(rays[q])) for q in slopes),
+            tuple((q.numerator, q.denominator) for q in slopes))
+
+
+@pytest.mark.parametrize("family,rank", ONE_PER_FAMILY)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_genericity_and_classes_match_proportionality_oracle(family, rank, data):
+    # Spans 2 and 3 make many projections fail, span 1000 few.  Scaling keeps
+    # every verdict and moves the images past 2**30 onto exact Python ints;
+    # the shift then perturbs the scaled projection.
+    rs = rt.build(family, rank)
+    span = data.draw(st.sampled_from([2, 3, 1000]))
+    scale = data.draw(st.sampled_from([1, 2 ** 30, 2 ** 62 + 1]))
+    shift = data.draw(st.sampled_from([0, 1]))
+    u, w = (data.draw(st.tuples(*[st.integers(-span, span)] * rs.ambient_dim))
+            for _ in range(2))
+    proj = rt.Projection(tuple(scale * c for c in u), tuple(scale * c + shift for c in w))
+    imgs = _exact_images(rs, proj)
+    valid = _valid_brute_force(_parallel_table(rs), imgs)
+    assert rt.is_valid_projection(rs, proj) == valid
+    if not valid:
+        with pytest.raises(rt.InvalidProjectionError):
+            rt.class_ordering(rs, proj)
+        return
+    ordering = rt.class_ordering(rs, proj)
+    assert ordering.root_images == imgs
+    assert (ordering.positive_classes, ordering.class_rays) == _classes_brute_force(rs, imgs)
+
+
+def test_slopes_tied_as_floats_are_ordered_exactly():
+    # e1 - e2 and e1 - e3 land on (2m-2, 2m-3) and (2m-1, 2m-2): distinct
+    # slopes that round to one float, with images still on int64
+    rs = rt.build("A", 2)
+    m = 2 ** 26
+    proj = rt.Projection((m, 2 - m, 1 - m), (m, 3 - m, 2 - m))
+    imgs = rt.root_images(rs, proj)
+    (x1, y1), (x2, y2) = imgs[rs.roots.index((1, -1, 0))], imgs[rs.roots.index((1, 0, -1))]
+    assert x1 / y1 == x2 / y2 and x1 * y2 != x2 * y1
+    ordering = rt.class_ordering(rs, proj)
+    assert ((ordering.positive_classes, ordering.class_rays)
+            == _classes_brute_force(rs, _exact_images(rs, proj)))
+    assert rt.verify_notation_invariants(rs, proj).all_ok

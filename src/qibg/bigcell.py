@@ -20,8 +20,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import (_bareiss, _integer_rows, as_matrix, determinant, exact_to_str, log_abs,
-                       log_sup_norm, multiply, sup_norm)
+from .exactmat import (_bareiss, _integer_rows, as_matrix, determinant, log_abs, log_sup_norm,
+                       multiply, sup_norm)
 from .rootsys import ClassOrdering, sl_block_positions
 
 _ZERO = Fraction(0)
@@ -156,7 +156,7 @@ def denominator_and_norm_check(gamma) -> BoundReport:
     denominators = tuple(sorted({
         e.denominator for mat in (fac.u_plus, fac.p_minus) for row in mat for e in row}))
     denominators_divide = all(power % q == 0 for q in denominators)
-    log_in = max(0.0, log_sup_norm(gamma))
+    log_in = log_sup_norm(gamma)
     log_p = log_abs(sup_norm(fac.p_minus))
     bound = (n * n) * max(1.0, log_in)
     return BoundReport(minors, product, denominators, denominators_divide,
@@ -223,26 +223,3 @@ def _check_support(mat, allowed) -> None:
             if mat[r][c] != 0 and (r, c) not in allowed:
                 raise AssertionError("split factor leaks outside its class support")
 
-
-def ul_factorization_to_json(fac: BigCellFactorization) -> dict:
-    def enc(mat):
-        return [[exact_to_str(e) for e in row] for row in mat]
-
-    return {
-        "n": len(fac.u_plus),
-        "u_plus": enc(fac.u_plus),
-        "p_minus": enc(fac.p_minus),
-    }
-
-
-def bound_report_to_json(rep: BoundReport) -> dict:
-    return {
-        "minors": [exact_to_str(m) for m in rep.minors],
-        "minor_product": exact_to_str(rep.minor_product),
-        "denominators": [exact_to_str(q) for q in rep.denominators],
-        "denominators_divide": rep.denominators_divide,
-        "log_norm_input": rep.log_norm_input,
-        "log_norm_p_minus": rep.log_norm_p_minus,
-        "norm_constant": rep.norm_constant,
-        "norm_bound_ok": rep.norm_bound_ok,
-    }

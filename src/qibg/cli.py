@@ -1,7 +1,8 @@
 """Command-line frontend: decompose, verify, bigcell, roots, bench.
 
-Exit codes are a stable contract: 0 success, 1 check failure, 2 input error,
-3 domain-precondition failure.  All file writes are atomic (temp + rename).
+Exit codes are a stable contract: 0 success, 1 check failure, 2 input error
+(an unreadable input or an unwritable output path), 3 domain-precondition
+failure.  All file writes are atomic (temp + rename).
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ def cmd_bench(args) -> int:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report = harness.run_campaign(config)
-    os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")
     csv_path = os.path.join(args.out, "report.csv")
     _atomic_write(json_path, harness.report_to_json_bytes(report).decode())
@@ -202,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as e:   # each command handles its own reads, so this is a write
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -143,7 +143,8 @@ def log_abs(x) -> float:
 
 
 def log_sup_norm(a) -> float:
-    return log_abs(sup_norm(a))
+    """log max(1, |a|): 0 for the zero matrix, log |a| for any other integer one."""
+    return log_abs(max(1, sup_norm(a)))
 
 
 def elementary(n: int, k: int, l: int, m: int) -> Matrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from . import decompose as dec
@@ -93,14 +94,23 @@ def _sample_seed(seed: int, counter: int) -> int:
     return (seed * 1_000_003 + counter * 10_007 + 12_345) & ((1 << 63) - 1)
 
 
-def _enumerate_tasks(config: CampaignConfig):
-    tasks = []
-    counter = 0
+def _words(config: CampaignConfig) -> list:
+    """(length, index, word) per sample, in report order."""
+    words = []
     for length in config.word_lengths:
         for index in range(config.samples_per_length):
-            tasks.append((length, index, _sample_seed(config.seed, counter)))
-            counter += 1
-    return tasks
+            seed = _sample_seed(config.seed, len(words))
+            words.append((length, index, random_word(config.n, length, seed)))
+    return words
+
+
+def _verified(gamma, fac, length: int, index: int):
+    """The verification report of fac; CampaignError, carrying gamma, if it fails."""
+    report = dec.verify(gamma, fac)
+    if not report.all_ok:
+        raise CampaignError(f"verification failed for length={length} index={index}",
+                            matrix_to_json(gamma))
+    return report
 
 
 def _stability(max_ratio_by_length) -> bool:
@@ -119,36 +129,25 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     config = config.validate()
     ordering = (sl_class_ordering(config.n, seed=config.seed)
                 if config.strategy == dec.CLOCKWISE else None)
-
-    def one(task):
-        length, index, sample_seed = task
-        gamma = random_word(config.n, length, sample_seed)
+    samples, violations = [], 0
+    for length, index, gamma in _words(config):
         if config.strategy == dec.CLOCKWISE:
             fac = dec.decompose_clockwise(gamma, ordering)
         else:
             fac = dec.decompose_column_major(gamma)
-        report = dec.verify(gamma, fac)
-        if not report.all_ok:
-            raise CampaignError(
-                f"verification failed for length={length} index={index}",
-                matrix_to_json(gamma))
-        bound = dec.guaranteed_log_norm_bound(config.n, gamma)
-        violated = sum(1 for v in report.stats.per_factor_log_norms if v > bound)
+        report = _verified(gamma, fac, length, index)
         stats = report.stats
-        mfl = max(stats.per_factor_log_norms) if stats.per_factor_log_norms else 0.0
-        return SampleRecord(length, index, stats.input_log_norm,
-                            report.factor_count, mfl, stats.max_ratio), violated
-
-    results = [one(task) for task in _enumerate_tasks(config)]
-    samples = tuple(r for r, _ in results)
-    violations = sum(v for _, v in results)
+        bound = dec.guaranteed_log_norm_bound(config.n, gamma)
+        violations += sum(1 for v in stats.per_factor_log_norms if v > bound)
+        samples.append(SampleRecord(length, index, stats.input_log_norm, report.factor_count,
+                                    max(stats.per_factor_log_norms, default=0.0),
+                                    stats.max_ratio))
+    samples = tuple(samples)
     by_length = []
     for length in config.word_lengths:
         bucket = [s.ratio for s in samples if s.length == length]
         by_length.append((length, max(bucket)))
-    histogram = {}
-    for s in samples:
-        histogram[s.factor_count] = histogram.get(s.factor_count, 0) + 1
+    histogram = Counter([s.factor_count for s in samples])
     max_ratio_by_length = tuple(by_length)
     return CampaignReport(
         config=config,
@@ -165,25 +164,17 @@ def compare_strategies(config: CampaignConfig) -> ComparisonReport:
     """Run both strategies on the same samples; count clockwise re-annihilations."""
     config = config.validate()
     ordering = sl_class_ordering(config.n, seed=config.seed)
-
-    def one(task):
-        length, index, sample_seed = task
-        gamma = random_word(config.n, length, sample_seed)
-        fac_cm = dec.decompose_column_major(gamma)
-        rep_cm = dec.verify(gamma, fac_cm)
+    samples = []
+    for length, index, gamma in _words(config):
+        rep_cm = _verified(gamma, dec.decompose_column_major(gamma), length, index)
         fac_cw, diag = dec.clockwise_with_diagnostics(gamma, ordering)
-        rep_cw = dec.verify(gamma, fac_cw)
-        if not (rep_cm.all_ok and rep_cw.all_ok):
-            raise CampaignError(
-                f"verification failed for length={length} index={index}",
-                matrix_to_json(gamma))
-        return StrategySample(
+        rep_cw = _verified(gamma, fac_cw, length, index)
+        samples.append(StrategySample(
             length, index, rep_cm.stats.input_log_norm,
             rep_cm.factor_count, rep_cm.stats.max_ratio,
             rep_cw.factor_count, rep_cw.stats.max_ratio,
-            diag.reannihilations)
-
-    samples = tuple(one(task) for task in _enumerate_tasks(config))
+            diag.reannihilations))
+    samples = tuple(samples)
     return ComparisonReport(
         config=config,
         samples=samples,

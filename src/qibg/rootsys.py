@@ -307,20 +307,17 @@ def is_valid_projection(rs: RootSystem, proj: Projection) -> bool:
     return _is_generic(rs, proj, _images(rs, proj))
 
 
-def sample_projection(rs: RootSystem, seed: int, span: int = 1000,
-                      max_tries: int = 10_000) -> Projection:
-    """Rejection-sample a valid projection; deterministic for a fixed seed."""
-    if span < 1 or max_tries < 1:
-        raise ValueError(f"need span >= 1 and max_tries >= 1, got {span} and {max_tries}")
+def sample_projection(rs: RootSystem, seed: int) -> Projection:
+    """Rejection-sample a valid projection, coordinates in [-1000, 1000];
+    deterministic for a fixed seed."""
     rng = random.Random(seed)
     dim = rs.ambient_dim
-    for _ in range(max_tries):
-        proj = Projection(*(tuple(rng.randint(-span, span) for _ in range(dim))
+    for _ in range(10_000):
+        proj = Projection(*(tuple(rng.randint(-1000, 1000) for _ in range(dim))
                             for _ in "uw"))
         if is_valid_projection(rs, proj):
             return proj
-    raise InvalidProjectionError(
-        f"no valid projection found in {max_tries} tries; this indicates a bug")
+    raise InvalidProjectionError("no valid projection found in 10000 tries; this indicates a bug")
 
 
 def positive_roots(rs: RootSystem, proj: Projection) -> frozenset:
@@ -470,14 +467,14 @@ def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantRep
 # --- bridge to SL(n) ---------------------------------------------------------
 
 
-def sl_class_ordering(n: int, seed: int = 0, max_tries: int = 10_000) -> ClassOrdering:
+def sl_class_ordering(n: int, seed: int = 0) -> ClassOrdering:
     """Clockwise ordering for A_{n-1} whose positive system is the standard one
     (e_a - e_b positive iff a < b), as needed to index SL(n) matrix positions."""
     if n < 2:
         raise ValueError("need n >= 2")
     rs = build("A", n - 1)
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(10_000):
         w = sorted((rng.randint(1, 10 ** 6) for _ in range(n)), reverse=True)
         if len(set(w)) != n:
             continue
@@ -505,43 +502,14 @@ def sl_block_positions(ordering: ClassOrdering) -> tuple:
     return tuple(positions)
 
 
-# --- serialization and drawing ------------------------------------------------
+# --- drawing -----------------------------------------------------------------
 
 
-def root_system_to_json(rs: RootSystem) -> dict:
-    return {
-        "family": rs.family,
-        "rank": rs.rank,
-        "roots": [[str(c) for c in r] for r in rs.roots],
-    }
-
-
-def ordering_report(rs: RootSystem, proj: Projection) -> dict:
-    """Class lists plus per-index side-set memberships, JSON-ready."""
+def render_rays_svg(rs: RootSystem, proj: Projection) -> str:
+    """Static 480 x 480 SVG of the projected root rays (rendering only; no
+    decision depends on these floats)."""
     ordering = class_ordering(rs, proj)
-    report = {
-        "family": rs.family,
-        "rank": rs.rank,
-        "class_count": len(ordering.positive_classes),
-        "classes": [[[str(c) for c in r] for r in cls]
-                    for cls in ordering.positive_classes],
-        "angles": list(ordering.angles),
-    }
-    signs = _side_signs(*_ordering_arrays(ordering, rs)[:2])
-    pos = signs[-1] > 0
-
-    def names(mask):
-        return sorted([str(c) for c in r] for r in itertools.compress(rs.roots, mask & pos))
-
-    report["side_sets"] = [{"i": i, "left_pos": names(row > 0), "right_pos": names(row < 0)}
-                           for i, row in enumerate(signs)]
-    return report
-
-
-def render_rays_svg(rs: RootSystem, proj: Projection, size: int = 480) -> str:
-    """Static SVG of the projected root rays (rendering only; no decision
-    depends on these floats)."""
-    ordering = class_ordering(rs, proj)
+    size = 480
     half = size / 2
     radius = half - 20
     parts = [

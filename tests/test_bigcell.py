@@ -127,8 +127,6 @@ def test_bound_report_identity():
     assert rep.minors == (1, 1)
     assert rep.denominators == (1,)
     assert rep.all_ok
-    obj = bc.bound_report_to_json(rep)
-    assert obj["denominators"] == ["1"] and obj["minors"] == ["1", "1"]
 
 
 def test_bound_report_hand_example():
@@ -400,9 +398,3 @@ def test_split_dimension_mismatch():
     with pytest.raises(ValueError):
         bc.unipotent_class_split(F(I3), ordering, 1)
 
-
-def test_factorization_json():
-    fac = bc.ul_factorize(((2, 1), (1, 1)))
-    obj = bc.ul_factorization_to_json(fac)
-    assert obj["u_plus"] == [["1", "1"], ["0", "1"]]
-    assert obj["p_minus"] == [["1", "0"], ["1", "1"]]

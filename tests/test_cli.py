@@ -154,3 +154,28 @@ def test_bench_rejects_an_underscored_integer(tmp_path):
                 {"n": "1_0", "word_lengths": [5], "samples_per_length": 1, "seed": 1})
     assert main(["bench", cfg, "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
+
+
+def test_verify_zero_matrix_is_a_check_failure(tmp_path, capsys):
+    zero = write(tmp_path / "zero.json", {"n": 2, "entries": [["0", "0"], ["0", "0"]]})
+    fac = write(tmp_path / "fac.json", {"n": 2, "strategy": "column_major", "factors": []})
+    assert main(["verify", zero, fac]) == 1
+    assert "product equality: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "{cfg}", "--out", "{taken}"],
+    ["decompose", "{matrix}", "--out", "{taken}/fac.json"],
+    ["decompose", "{matrix}", "--out", "{tmp}"],
+    ["roots", "--family", "A", "--rank", "2", "--svg", "{taken}/rays.svg"],
+])
+def test_unwritable_output_is_an_input_error(tmp_path, matrix_file, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    cfg = write(tmp_path / "cfg.json",
+                {"n": 3, "word_lengths": [5], "samples_per_length": 2, "seed": 1})
+    paths = {"cfg": cfg, "matrix": matrix_file, "taken": str(taken), "tmp": str(tmp_path)}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+    assert not list(tmp_path.glob(".qibg-*"))

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from qibg import decompose as dc
+from qibg import exactmat as em
 from qibg import harness as hn
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -141,3 +142,20 @@ def test_compare_strategies_n3():
     assert obj["total_reannihilations"] == 0
     assert len(obj["samples"]) == 30
 
+
+
+@pytest.mark.parametrize("rejected", [dc.COLUMN_MAJOR, dc.CLOCKWISE])
+def test_mutated_verifier_aborts_comparison(monkeypatch, rejected):
+    real_verify = dc.verify
+
+    def broken(matrix, fac):
+        rep = real_verify(matrix, fac)
+        if fac.strategy == rejected:
+            object.__setattr__(rep, "product_ok", False)
+        return rep
+
+    monkeypatch.setattr(dc, "verify", broken)
+    config = hn.CampaignConfig(3, (4,), 2, 5)
+    with pytest.raises(hn.CampaignError, match="length=4 index=0") as err:
+        hn.compare_strategies(config)
+    assert err.value.sample_json == em.matrix_to_json(hn._words(config)[0][2])

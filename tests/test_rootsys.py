@@ -111,15 +111,6 @@ def test_bc1_projection_allows_shared_line():
     assert len(ordering.positive_classes[0]) == 2
 
 
-@pytest.mark.parametrize("kwargs", [{"span": 0}, {"span": -3}, {"max_tries": 0},
-                                    {"max_tries": -1}])
-def test_sample_projection_rejects_empty_search(kwargs):
-    # span 0 can draw only the zero projection, and zero tries can find
-    # nothing; both are refused before any draw
-    with pytest.raises(ValueError, match="span >= 1 and max_tries >= 1"):
-        rt.sample_projection(rt.build("E8", 8), 0, **kwargs)
-
-
 def test_sample_projection_deterministic_snapshot():
     rs = rt.build("A", 2)
     proj = rt.sample_projection(rs, 1)
@@ -427,20 +418,9 @@ def test_sl_block_positions_rejects_nonstandard():
     assert accepted > 0 and rejected > 0
 
 
-def test_json_dump_shape():
-    rs = rt.build("BC", 1)
-    obj = rt.root_system_to_json(rs)
-    assert obj["family"] == "BC" and obj["rank"] == 1
-    assert sorted(obj["roots"]) == sorted([["-1"], ["-2"], ["1"], ["2"]])
-
-
-def test_ordering_report_and_svg():
+def test_render_rays_svg():
     rs = rt.build("A", 2)
-    proj = rt.sample_projection(rs, 1)
-    rep = rt.ordering_report(rs, proj)
-    assert rep["class_count"] == 3
-    assert len(rep["side_sets"]) == 5
-    svg = rt.render_rays_svg(rs, proj)
+    svg = rt.render_rays_svg(rs, rt.sample_projection(rs, 1))
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert svg.count("<line") >= 3
 
@@ -574,7 +554,7 @@ def test_images_past_int64_match_exact_dot_products(family, rank):
     assert rt.verify_notation_invariants(rs, scaled).all_ok
     for i in range(len(ordering.positive_classes) + 2):
         assert rt.side_sets(ordering, rs, i) == rt.side_sets(base_ordering, rs, i)
-    assert rt.ordering_report(rs, scaled) == rt.ordering_report(rs, base)
+    assert ordering.class_rays == base_ordering.class_rays
 
 
 def _classes_brute_force(rs, imgs):

@@ -149,6 +149,10 @@ def cmd_bench(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    # find an unwritable --out before the campaign, not after its full cost
+    os.makedirs(args.out, exist_ok=True)
+    with tempfile.TemporaryFile(dir=args.out):
+        pass
     report = harness.run_campaign(config)
     json_path = os.path.join(args.out, "report.json")
     csv_path = os.path.join(args.out, "report.csv")

@@ -431,18 +431,33 @@ def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantRep
     classes[class_ids, rows] = True
     # A positive system is checked against the full right set, not right_pos.
     systems = classes | right[1:k + 1]
-    sides = np.stack([left, right, left_pos, right_pos], axis=1)   # (k+2, 4, n)
-    closed = _closed(tables.sums, np.concatenate([sides.reshape(-1, n), systems]))
+    # Only the left sets (the last, left of (1, 0), being the positive set)
+    # and the positive systems are tested outright.  Negation maps pair sums
+    # to pair sums, so right[i] is closed exactly when left[i] is wherever
+    # right[i] = -left[i]; an intersection of closed sets is closed, so
+    # left_pos[i] and right_pos[i] are closed where both their parts are.  A
+    # verdict no identity gives is tested as well.
+    closed = _closed(tables.sums, np.concatenate([left, systems]))
+    left_closed = closed[:k + 2]
+    mirrored = np.all(right == left[:, tables.neg], axis=1)
+    right_closed = mirrored & left_closed
+    sides_closed = np.stack([left_closed, right_closed, left_closed & left_closed[-1],
+                             right_closed & left_closed[-1]], axis=1)   # (k+2, 4)
+    unsettled = ~sides_closed
+    unsettled[:, 0] = False         # tested outright
+    unsettled[:, 1] = ~mirrored     # else closed exactly when left[i] is
+    if unsettled.any():
+        sides = np.stack([left, right, left_pos, right_pos], axis=1)   # (k+2, 4, n)
+        sides_closed[unsettled] = _closed(tables.sums, sides[unsettled])
 
-    sides_closed = closed[:4 * (k + 2)].reshape(k + 2, 4)
-    names = ("left", "right", "left_pos", "right_pos")   # the order of `sides`
+    names = ("left", "right", "left_pos", "right_pos")   # the columns of `sides_closed`
     failures = [f"side set {names[j]}[{i}] is not closed"
                 for i, j in zip(*np.nonzero(~sides_closed))]
 
     negated = systems[:, tables.neg]
     systems_ok = ((np.count_nonzero(systems, axis=1) == n // 2)
                   & ~np.any(systems & negated, axis=1) & np.all(systems | negated, axis=1)
-                  & closed[4 * (k + 2):])
+                  & closed[k + 2:])
     failures += [f"class {i} union right set is not a positive system"
                  for i in np.flatnonzero(~systems_ok) + 1]
 

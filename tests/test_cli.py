@@ -179,3 +179,21 @@ def test_unwritable_output_is_an_input_error(tmp_path, matrix_file, capsys, argv
     assert "error: cannot write" in capsys.readouterr().err
     assert taken.read_text() == "kept"
     assert not list(tmp_path.glob(".qibg-*"))
+
+
+@pytest.mark.parametrize("out", ["{taken}", "{taken}/sub"])
+def test_bench_checks_its_output_before_the_campaign(tmp_path, capsys, monkeypatch, out):
+    from qibg import harness
+
+    def never(config):
+        raise AssertionError("the campaign ran before --out was checked")
+
+    monkeypatch.setattr(harness, "run_campaign", never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    cfg = write(tmp_path / "cfg.json",
+                {"n": 3, "word_lengths": [5], "samples_per_length": 2, "seed": 1})
+    assert main(["bench", cfg, "--out", out.format(taken=taken)]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+    assert not list(tmp_path.glob(".qibg-*"))

@@ -332,6 +332,103 @@ def test_tampered_orderings_fail_the_recorded_checks(monkeypatch, tamper, want):
     assert rt.verify_notation_invariants(rs, proj) == want
 
 
+def _invariants_with_every_set_tested(rs, ordering, closed):
+    """The invariant report with all 4(k+2) side sets and the k positive
+    systems tested for closedness outright, by `closed` (rt._closed)."""
+    tables = rs._tables
+    n, k = len(rs.roots), len(ordering.positive_classes)
+    images, rays, rows, class_ids = rt._ordering_arrays(ordering, rs)
+    signs = rt._side_signs(images, rays)
+    pos = signs[-1] > 0
+    left, right = signs > 0, signs < 0
+    left_pos, right_pos = left & pos, right & pos
+    classes = np.zeros((k, n), dtype=bool)
+    classes[class_ids, rows] = True
+    systems = classes | right[1:k + 1]
+    sides = np.stack([left, right, left_pos, right_pos], axis=1)
+    verdicts = closed(tables.sums, np.concatenate([sides.reshape(-1, n), systems]))
+    sides_closed = verdicts[:4 * (k + 2)].reshape(k + 2, 4)
+    names = ("left", "right", "left_pos", "right_pos")
+    failures = [f"side set {names[j]}[{i}] is not closed"
+                for i, j in zip(*np.nonzero(~sides_closed))]
+    negated = systems[:, tables.neg]
+    systems_ok = ((np.count_nonzero(systems, axis=1) == n // 2)
+                  & ~np.any(systems & negated, axis=1) & np.all(systems | negated, axis=1)
+                  & verdicts[4 * (k + 2):])
+    failures += [f"class {i} union right set is not a positive system"
+                 for i in np.flatnonzero(~systems_ok) + 1]
+    before = left_pos[1:k + 1]
+    partition_ok = ~(np.any(before & classes, axis=1)
+                     | np.any(left_pos[2:] != (before | classes), axis=1))
+    failures += [_not_disjoint(i) for i in np.flatnonzero(~partition_ok) + 1]
+    boundary_ok = (not np.any(left_pos[1]) and not np.any(right_pos[k])
+                   and np.array_equal(right_pos[0], pos)
+                   and np.array_equal(left_pos[k + 1], pos))
+    if not boundary_ok:
+        failures.append("boundary conventions violated")
+    return rt.InvariantReport(rs.family, rs.rank, k, bool(sides_closed.all()),
+                              bool(systems_ok.all()), bool(partition_ok.all()),
+                              boundary_ok, tuple(failures))
+
+
+INVARIANT_SYSTEMS = [("A", 8), ("B", 8), ("C", 8), ("D", 8), ("BC", 8), ("F4", 4),
+                     ("E6", 6), ("E7", 7), ("E8", 8), ("G2", 2)]
+
+
+@pytest.mark.parametrize("family,rank", INVARIANT_SYSTEMS)
+def test_implied_closedness_matches_testing_every_set(monkeypatch, family, rank):
+    rs = rt.build(family, rank)
+    closed, class_ordering = rt._closed, rt.class_ordering
+    calls = []   # mask rows per _closed call, one list per verification
+
+    def counted(sums, masks):
+        calls[-1].append(len(masks))
+        return closed(sums, masks)
+
+    monkeypatch.setattr(rt, "_closed", counted)
+
+    def check(proj, ordering):
+        calls.append([])
+        monkeypatch.setattr(rt, "class_ordering", lambda rs_, proj_: ordering)
+        got = rt.verify_notation_invariants(rs, proj)
+        assert got == _invariants_with_every_set_tested(rs, ordering, closed)
+        return got
+
+    for seed in range(3):
+        proj = rt.sample_projection(rs, seed)
+        ordering = class_ordering(rs, proj)
+        k = len(ordering.positive_classes)
+        assert check(proj, ordering).all_ok
+        # one call, on the k + 2 left sets (the last is the positive set) and
+        # the k positive systems: 242 rows on E8, where all sets take 608
+        assert calls[-1] == [2 * k + 2]
+        for j in sorted({0, k // 2, k - 3}):
+            check(proj, _swap_classes(ordering, j))
+            assert not check(proj, _move_root_across_ray(ordering, rs, j)).all_ok
+    # the moved root breaks right[i] = -left[i], so some verdict needs the fallback
+    assert any(len(c) == 2 for c in calls)
+
+
+# every system the tests build: criterion 6 verifies ranks up to 8, and the
+# SL(n) orderings reach A15
+BUILT_SYSTEMS = [(f, r) for f, lo, hi in (("A", 1, 15), ("B", 2, 8), ("C", 2, 8),
+                                          ("D", 3, 8), ("BC", 1, 8))
+                 for r in range(lo, hi + 1)] + [("G2", 2), ("F4", 4), ("E6", 6),
+                                                 ("E7", 7), ("E8", 8)]
+
+
+@pytest.mark.parametrize("family,rank", BUILT_SYSTEMS)
+def test_negation_permutes_the_pair_sums(family, rank):
+    tables = rt.build(family, rank)._tables
+    neg, rows = tables.neg, np.arange(len(tables.neg))
+    assert np.array_equal(neg[neg], rows) and not np.any(neg == rows)
+
+    def unordered(sums):   # the triples as ({a, b}, a+b)
+        return {(min(a, b), max(a, b), s) for a, b, s in zip(*sums.tolist())}
+
+    assert unordered(neg[tables.sums]) == unordered(tables.sums)
+
+
 # --- bridge and serialization ----------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 """Irreducible root systems, generic plane projections, and clockwise ray classes.
 
 Every supported system is half-integral, so each system is computed on one
-int64 array: its doubled lattice, row i being 2r for the i-th root r.  The
-negation map, the pair sums, the count of root lines and the plane images
-all derive from that array.  The roots handed out keep their exact
+int64 array: its doubled lattice, row i being 2r for the i-th root r, with an
+exact dict from each row, as a tuple of ints, back to its index.  The negation
+map, the count of root lines and the plane images derive from those two, at
+any ambient dimension; the pair sums and the simple roots are derived from
+them only when first read.  The roots handed out keep their exact
 coordinates: plain ints, and Fractions only for the half-integer (spin)
 coordinates of F4 and E6-E8.
 
@@ -55,7 +57,6 @@ class RootSystem:
     rank: int
     ambient_dim: int
     roots: tuple
-    simple_roots: tuple
 
     @cached_property
     def _tables(self) -> _Tables:
@@ -63,6 +64,28 @@ class RootSystem:
         # hashed fields: a lookup hashes no root coordinate, and a system built
         # by hand, or equal to another but distinct from it, gets its own tables.
         return _system_tables(self)
+
+    @cached_property
+    def _sums(self) -> np.ndarray:
+        """Columns (a, b, row of a+b) for every a <= b with a+b a root; built on first read."""
+        lattice, rows = self._tables.lattice, self._tables.rows
+        # |2a + 2b|^2 must be a doubled root's: the Gram matrix rules out most pairs
+        norms = np.einsum("ij,ij->i", lattice, lattice)
+        squared = norms[:, None] + norms[None, :] + 2 * (lattice @ lattice.T)
+        a, b = np.nonzero(np.triu(np.isin(squared, norms)))
+        s = np.array([rows.get(t, -1) for t in zip(*(lattice[a] + lattice[b]).T.tolist())],
+                     dtype=np.intp)
+        found = s >= 0   # masks each column, so the stack stays row-major for _closed
+        return np.stack([a[found], b[found], s[found]])
+
+    @cached_property
+    def simple_roots(self) -> tuple:
+        """The lexicographically positive roots that are no sum of two positive roots."""
+        positive = _lead_signs(self._tables.lattice) > 0
+        a, b, s = self._sums
+        summed = np.zeros(len(self.roots), dtype=bool)
+        summed[s[positive[a] & positive[b]]] = True
+        return tuple(sorted(itertools.compress(self.roots, positive & ~summed)))
 
 
 @dataclass(frozen=True)
@@ -163,19 +186,6 @@ def _e_subsystem(constraints):
     return kept, dim
 
 
-def _lex_positive(root) -> bool:
-    return next((c > 0 for c in root if c != 0), False)
-
-
-def _compute_simple_roots(roots) -> tuple:
-    """The positive roots (lexicographically) that are no sum of two positive roots."""
-    positives = sorted(r for r in roots if _lex_positive(r))
-    pos_set = set(positives)
-    return tuple(r for r in positives
-                 if not any(s != r and tuple(a - b for a, b in zip(r, s)) in pos_set
-                            for s in pos_set))
-
-
 def _halve(doubled) -> Root:
     return tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in doubled)
 
@@ -204,49 +214,38 @@ def build(family: str, rank: int) -> RootSystem:
     expected = ROOT_COUNT[family](rank)
     if len(roots) != expected:
         raise AssertionError(f"{family}{rank}: built {len(roots)} roots, expected {expected}")
-    # halving keeps the lexicographic order and the simple roots
-    ordered = tuple(sorted(roots))
-    return RootSystem(family, rank, dim, tuple(map(_halve, ordered)),
-                      tuple(map(_halve, _compute_simple_roots(ordered))))
+    # halving keeps the lexicographic order
+    return RootSystem(family, rank, dim, tuple(map(_halve, sorted(roots))))
 
 
 # --- exact projection machinery ---------------------------------------------
 
 
 class _Tables(NamedTuple):
-    index: dict           # root -> row
+    rows: dict            # 2r as a tuple of ints -> row of r; exact at any dimension
     lattice: np.ndarray   # row i is 2 * rs.roots[i]; int64, entries in [-4, 4]
     neg: np.ndarray       # row of -r, per row r
-    sums: np.ndarray      # columns (a, b, row of a+b) for every a <= b with a+b a root
     lines: int            # number of root lines
+
+
+def _lead_signs(lattice) -> np.ndarray:
+    """Sign of each row's first nonzero entry: +1 on the lexicographically positive rows."""
+    return np.sign(lattice[np.arange(len(lattice)), np.argmax(lattice != 0, axis=1)])
 
 
 def _system_tables(rs: RootSystem) -> _Tables:
     """Per-system tables, all derived from the doubled lattice; read them
     through the system's cached `_tables`."""
-    n, dim = len(rs.roots), rs.ambient_dim
     # 2c is an integer for every coordinate c: read it off numerator and denominator
-    lattice = np.array([[c.numerator * 2 // c.denominator for c in r] for r in rs.roots],
-                       dtype=np.int64)
-    # Coordinates of 2r, and of a sum of two such vectors, lie in [-8, 8], where
-    # this base-17 key is injective.  It is linear: the key of a sum is the sum
-    # of the keys, so one n x n addition finds every pair sum.
-    powers = 17 ** np.arange(dim, dtype=np.int64)
-    key = lattice @ powers
-    order = np.argsort(key)
-
-    def row_of(k):
-        at = order[np.searchsorted(key, k, sorter=order).clip(max=n - 1)]
-        return np.where(key[at] == k, at, -1)
-
-    sum_rows = row_of(key[:, None] + key[None, :])
-    a, b = np.nonzero(np.triu(sum_rows >= 0))
-    # A row divided by its content is the primitive vector of its line, up to
-    # sign, and the key is odd, so the key's absolute value names the line.
+    doubled = [tuple(c.numerator * 2 // c.denominator for c in r) for r in rs.roots]
+    rows = {r: i for i, r in enumerate(doubled)}
+    lattice = np.array(doubled, dtype=np.int64)
+    # a row over its content, signed to lead positive, is its line's primitive vector
     primitive = lattice // np.gcd.reduce(lattice, axis=1)[:, None]
-    return _Tables(index={r: i for i, r in enumerate(rs.roots)}, lattice=lattice,
-                   neg=row_of(-key), sums=np.stack([a, b, sum_rows[a, b]]),
-                   lines=len(set(np.abs(primitive @ powers).tolist())))
+    lines = set(map(tuple, (primitive * _lead_signs(primitive)[:, None]).tolist()))
+    return _Tables(rows=rows, lattice=lattice,
+                   neg=np.array([rows[r] for r in map(tuple, (-lattice).tolist())]),
+                   lines=len(lines))
 
 
 def _image_array(rs: RootSystem, proj: Projection) -> np.ndarray:
@@ -361,7 +360,7 @@ def _ordering_arrays(ordering: ClassOrdering, rs: RootSystem) -> tuple:
     classes = ordering.positive_classes
     return (np.array(ordering.root_images, dtype=object),
             np.array([(-1, 0), *ordering.class_rays, (1, 0)], dtype=object),
-            [rs._tables.index[r] for cls in classes for r in cls],
+            [rs._tables.rows[tuple(2 * c for c in r)] for cls in classes for r in cls],
             [j for j, cls in enumerate(classes) for _ in cls])
 
 
@@ -403,13 +402,14 @@ def _closed(sums, masks) -> np.ndarray:
 
 def is_closed(roots, rs: RootSystem) -> bool:
     """True iff for all a, b in the set with a+b a root, a+b is in the set."""
-    tables = rs._tables
+    rows = rs._tables.rows
     mask = np.zeros((1, len(rs.roots)), dtype=bool)
-    try:
-        mask[0, [tables.index[tuple(r)] for r in roots]] = True
-    except KeyError as e:
-        raise ValueError(f"element {e} is not a root of {rs.family}{rs.rank}") from None
-    return bool(_closed(tables.sums, mask)[0])
+    for r in roots:
+        at = rows.get(tuple(2 * c for c in r))
+        if at is None:
+            raise ValueError(f"element {r} is not a root of {rs.family}{rs.rank}")
+        mask[0, at] = True
+    return bool(_closed(rs._sums, mask)[0])
 
 
 # --- bulk verification -------------------------------------------------------
@@ -437,7 +437,7 @@ def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantRep
     # right[i] = -left[i]; an intersection of closed sets is closed, so
     # left_pos[i] and right_pos[i] are closed where both their parts are.  A
     # verdict no identity gives is tested as well.
-    closed = _closed(tables.sums, np.concatenate([left, systems]))
+    closed = _closed(rs._sums, np.concatenate([left, systems]))
     left_closed = closed[:k + 2]
     mirrored = np.all(right == left[:, tables.neg], axis=1)
     right_closed = mirrored & left_closed
@@ -448,7 +448,7 @@ def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantRep
     unsettled[:, 1] = ~mirrored     # else closed exactly when left[i] is
     if unsettled.any():
         sides = np.stack([left, right, left_pos, right_pos], axis=1)   # (k+2, 4, n)
-        sides_closed[unsettled] = _closed(tables.sums, sides[unsettled])
+        sides_closed[unsettled] = _closed(rs._sums, sides[unsettled])
 
     names = ("left", "right", "left_pos", "right_pos")   # the columns of `sides_closed`
     failures = [f"side set {names[j]}[{i}] is not closed"

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,6 +17,9 @@ EXPECTED_COUNTS = [
     ("D", 4, 24), ("BC", 1, 4), ("BC", 3, 24), ("G2", 2, 12), ("F4", 4, 48),
     ("E6", 6, 72), ("E7", 7, 126), ("E8", 8, 240),
 ]
+
+# ambient dimension 17: A16, and BC17 with three root lengths and doubled-root lines
+DIM_17 = [("A", 16, 272), ("BC", 17, 612)]
 
 
 @pytest.mark.parametrize("family,rank,count", EXPECTED_COUNTS)
@@ -335,7 +339,6 @@ def test_tampered_orderings_fail_the_recorded_checks(monkeypatch, tamper, want):
 def _invariants_with_every_set_tested(rs, ordering, closed):
     """The invariant report with all 4(k+2) side sets and the k positive
     systems tested for closedness outright, by `closed` (rt._closed)."""
-    tables = rs._tables
     n, k = len(rs.roots), len(ordering.positive_classes)
     images, rays, rows, class_ids = rt._ordering_arrays(ordering, rs)
     signs = rt._side_signs(images, rays)
@@ -346,12 +349,12 @@ def _invariants_with_every_set_tested(rs, ordering, closed):
     classes[class_ids, rows] = True
     systems = classes | right[1:k + 1]
     sides = np.stack([left, right, left_pos, right_pos], axis=1)
-    verdicts = closed(tables.sums, np.concatenate([sides.reshape(-1, n), systems]))
+    verdicts = closed(rs._sums, np.concatenate([sides.reshape(-1, n), systems]))
     sides_closed = verdicts[:4 * (k + 2)].reshape(k + 2, 4)
     names = ("left", "right", "left_pos", "right_pos")
     failures = [f"side set {names[j]}[{i}] is not closed"
                 for i, j in zip(*np.nonzero(~sides_closed))]
-    negated = systems[:, tables.neg]
+    negated = systems[:, rs._tables.neg]
     systems_ok = ((np.count_nonzero(systems, axis=1) == n // 2)
                   & ~np.any(systems & negated, axis=1) & np.all(systems | negated, axis=1)
                   & verdicts[4 * (k + 2):])
@@ -417,19 +420,33 @@ BUILT_SYSTEMS = [(f, r) for f, lo, hi in (("A", 1, 15), ("B", 2, 8), ("C", 2, 8)
                                                  ("E7", 7), ("E8", 8)]
 
 
-@pytest.mark.parametrize("family,rank", BUILT_SYSTEMS)
+def _unordered(sums):
+    """The pair-sum triples as ({a, b}, a+b)."""
+    return {(min(a, b), max(a, b), s) for a, b, s in zip(*sums.tolist())}
+
+
+@pytest.mark.parametrize("family,rank", BUILT_SYSTEMS + [(f, r) for f, r, _ in DIM_17])
 def test_negation_permutes_the_pair_sums(family, rank):
-    tables = rt.build(family, rank)._tables
-    neg, rows = tables.neg, np.arange(len(tables.neg))
+    rs = rt.build(family, rank)
+    neg, rows = rs._tables.neg, np.arange(len(rs.roots))
     assert np.array_equal(neg[neg], rows) and not np.any(neg == rows)
-
-    def unordered(sums):   # the triples as ({a, b}, a+b)
-        return {(min(a, b), max(a, b), s) for a, b, s in zip(*sums.tolist())}
-
-    assert unordered(neg[tables.sums]) == unordered(tables.sums)
+    assert _unordered(neg[rs._sums]) == _unordered(rs._sums)
 
 
 # --- bridge and serialization ----------------------------------------------------
+
+
+def test_sl_ordering_at_64_builds_no_pair_sums():
+    # the SL(n) path reads the lattice and the line count, never the N x N pair sums
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rt.sl_class_ordering(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert "_sums" not in rt.build("A", 63).__dict__
 
 
 def test_sl_class_ordering_is_standard():
@@ -541,47 +558,63 @@ def _closed_brute_force(subset, rs):
                for a in subset for b in subset)
 
 
-@pytest.mark.parametrize("family,rank,count", EXPECTED_COUNTS)
+def _simple_roots_brute_force(rs):
+    """The lexicographically positive roots that are no sum of two positive roots."""
+    positives = sorted(r for r in rs.roots if next(c > 0 for c in r if c != 0))
+    pos_set = set(positives)
+    return tuple(r for r in positives
+                 if not any(s != r and tuple(a - b for a, b in zip(r, s)) in pos_set
+                            for s in pos_set))
+
+
+@pytest.mark.parametrize("family,rank,count", EXPECTED_COUNTS + DIM_17)
 def test_lattice_tables_match_exact_loops(family, rank, count):
     rs = rt.build(family, rank)
     tables = rt._system_tables(rs)
     index = {r: i for i, r in enumerate(rs.roots)}
-    assert tables.index == index
+    assert tables.rows == {tuple(2 * c for c in r): i for r, i in index.items()}
     assert tables.neg.tolist() == [index[tuple(-c for c in r)] for r in rs.roots]
     sums = {(i, j, index[_exact_sum(a, b)])
-            for i, a in enumerate(rs.roots) for j, b in enumerate(rs.roots)
-            if i <= j and _exact_sum(a, b) in index}
-    assert set(map(tuple, tables.sums.T.tolist())) == sums
-    assert tables.sums.shape[1] == len(sums)
-    # a root opens a line when it is parallel to no root listed before it
-    parallel = _parallel_table(rs)
-    assert tables.lines == sum(not any(row[:i]) for i, row in enumerate(parallel))
+            for i, a in enumerate(rs.roots) for j, b in enumerate(rs.roots[i:], i)
+            if _exact_sum(a, b) in index}
+    assert set(map(tuple, rs._sums.T.tolist())) == sums
+    assert rs._sums.shape[1] == len(sums)
+    # a root opens a line when it is parallel to no root listed before it, and
+    # parallelism is transitive, so checking the roots that opened a line will do
+    openers = []
+    for r in rs.roots:
+        if not any(_parallel(r, s) for s in openers):
+            openers.append(r)
+    assert tables.lines == len(openers)
+    assert rs.simple_roots == _simple_roots_brute_force(rs)
 
 
 def test_equal_systems_built_separately_get_identical_tables():
     rs = rt.build("E8", 8)
     assert rt.build("E8", 8) is rs
-    twin = rt.RootSystem(rs.family, rs.rank, rs.ambient_dim,
-                         tuple(tuple(r) for r in rs.roots),
-                         tuple(tuple(r) for r in rs.simple_roots))
+    twin = rt.RootSystem(rs.family, rs.rank, rs.ambient_dim, tuple(tuple(r) for r in rs.roots))
     assert twin == rs and hash(twin) == hash(rs) and twin is not rs
     mine, theirs = rs._tables, twin._tables
     assert mine is not theirs and twin._tables is theirs
-    assert mine.index == theirs.index and mine.lines == theirs.lines
-    for name in ("lattice", "neg", "sums"):
+    assert mine.rows == theirs.rows and mine.lines == theirs.lines
+    for name in ("lattice", "neg"):
         assert np.array_equal(getattr(mine, name), getattr(theirs, name))
+    assert rs._sums is not twin._sums and np.array_equal(rs._sums, twin._sums)
+    assert twin.simple_roots == rs.simple_roots
 
 
 def test_hand_built_system_gets_its_own_tables():
     # the same roots listed in another order are a different (unequal) system
     rs = rt.build("G2", 2)
-    flipped = rt.RootSystem(rs.family, rs.rank, rs.ambient_dim, rs.roots[::-1],
-                            rs.simple_roots)
-    index = {r: i for i, r in enumerate(flipped.roots)}
-    assert flipped._tables.index == index
-    assert flipped._tables.neg.tolist() == [index[tuple(-c for c in r)]
+    flipped = rt.RootSystem(rs.family, rs.rank, rs.ambient_dim, rs.roots[::-1])
+    rows = {tuple(2 * c for c in r): i for i, r in enumerate(flipped.roots)}
+    assert flipped._tables.rows == rows
+    assert flipped._tables.neg.tolist() == [rows[tuple(-2 * c for c in r)]
                                             for r in flipped.roots]
     assert flipped._tables.lattice.tolist() == rs._tables.lattice[::-1].tolist()
+    # the same pair sums, on the flipped rows
+    assert _unordered(flipped._sums) == _unordered(len(rs.roots) - 1 - rs._sums)
+    assert flipped.simple_roots == rs.simple_roots
     proj = rt.sample_projection(rs, 4)
     assert rt.root_images(flipped, proj) == rt.root_images(rs, proj)[::-1]
 

@@ -92,7 +92,8 @@ def _factor(g) -> tuple:
         raise NotInBigCell(f"corner minor of size {vanished} vanishes")
     if det == 0:
         raise ValueError("matrix is singular")
-    assert _reassembles(m, h)
+    if not _reassembles(m, h):
+        raise AssertionError("UL factors do not reassemble the input")
     minors = [m[k][k] for k in range(n)] + [1]
     u_plus = tuple(
         tuple([_ZERO] * i + [_ONE]
@@ -209,8 +210,9 @@ def unipotent_class_split(u, ordering: ClassOrdering, i: int) -> UnipotentClassS
     _check_support(left, set(pos0[: i - 1]))
     _check_support(mid, set(pos0[i - 1: i]))
     _check_support(right, set(pos0[i:]))
-    assert multiply(multiply(left, mid), right) == tuple(
-        tuple(Fraction(e) for e in row) for row in u)
+    if multiply(multiply(left, mid), right) != tuple(
+            tuple(Fraction(e) for e in row) for row in u):
+        raise AssertionError("class split does not multiply back to the input")
     return UnipotentClassSplit(left, mid, right)
 
 

@@ -107,7 +107,8 @@ def _column_sweep(rows, emit) -> None:
             t = gcd_transform(a, b)
             _left_mult_block(rows, j + 1, i + 1, t.matrix)
             emit(BlockFactor(j + 1, i + 1, block_inverse(t.matrix)))
-        assert rows[j][j] == 1 and all(rows[i][j] == 0 for i in range(j + 1, n))
+        if rows[j][j] != 1 or any(rows[i][j] != 0 for i in range(j + 1, n)):
+            raise AssertionError(f"column {j + 1} is not cleared to a unit pivot")
 
 
 def _is_identity(rows) -> bool:
@@ -148,7 +149,8 @@ def _annihilator_block(s: Fraction):
     """x in SL(2,Z) with x^{-1} [[1, s], [0, 1]] lower triangular over Q."""
     num, den = s.numerator, s.denominator
     g, a, t = ext_gcd(den, num)
-    assert g == 1
+    if g != 1:
+        raise AssertionError(f"gcd({den}, {num}) is {g}, not 1")
     c = -t
     # minimal residue keeps |a| <= |num|/2 + 1 and |c| <= den/2
     c %= den

@@ -14,6 +14,10 @@ plane point (u.v, w.v); validity means no root lands on the real axis and
 distinct root lines keep distinct image lines.  All ordering and side
 decisions are made with integer cross products only; the float angles
 carried by orderings are for reporting and drawing.
+
+numpy is imported inside the functions that build or read the arrays, so that
+importing qibg (decompose, bigcell, harness and cli import this module) does
+not load it: the column-major, verify and big-cell paths never touch an array.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Root = tuple  # of int, or Fraction for a half-integer coordinate
 
@@ -68,6 +73,8 @@ class RootSystem:
     @cached_property
     def _sums(self) -> np.ndarray:
         """Columns (a, b, row of a+b) for every a <= b with a+b a root; built on first read."""
+        import numpy as np
+
         lattice, rows = self._tables.lattice, self._tables.rows
         # |2a + 2b|^2 must be a doubled root's: the Gram matrix rules out most pairs
         norms = np.einsum("ij,ij->i", lattice, lattice)
@@ -81,6 +88,8 @@ class RootSystem:
     @cached_property
     def simple_roots(self) -> tuple:
         """The lexicographically positive roots that are no sum of two positive roots."""
+        import numpy as np
+
         positive = _lead_signs(self._tables.lattice) > 0
         a, b, s = self._sums
         summed = np.zeros(len(self.roots), dtype=bool)
@@ -230,12 +239,16 @@ class _Tables(NamedTuple):
 
 def _lead_signs(lattice) -> np.ndarray:
     """Sign of each row's first nonzero entry: +1 on the lexicographically positive rows."""
+    import numpy as np
+
     return np.sign(lattice[np.arange(len(lattice)), np.argmax(lattice != 0, axis=1)])
 
 
 def _system_tables(rs: RootSystem) -> _Tables:
     """Per-system tables, all derived from the doubled lattice; read them
     through the system's cached `_tables`."""
+    import numpy as np
+
     # 2c is an integer for every coordinate c: read it off numerator and denominator
     doubled = [tuple(c.numerator * 2 // c.denominator for c in r) for r in rs.roots]
     rows = {r: i for i, r in enumerate(doubled)}
@@ -249,6 +262,8 @@ def _system_tables(rs: RootSystem) -> _Tables:
 
 
 def _image_array(rs: RootSystem, proj: Projection) -> np.ndarray:
+    import numpy as np
+
     # |u.2r| <= 4 * dim * max|u| bounds every image coordinate; below 2**30,
     # every 2x2 cross product of two images fits in int64, else Python ints.
     bound = 4 * rs.ambient_dim * max(map(abs, map(operator.index, (*proj.u, *proj.w))))
@@ -267,6 +282,8 @@ def root_images(rs: RootSystem, proj: Projection) -> tuple:
 
 
 def _slope_steps(xy) -> np.ndarray:
+    import numpy as np
+
     # cross products of neighbouring images, each turned into the upper
     # half-plane: negative where the slope x/y rises, zero where it stays
     x, y = (xy * np.sign(xy[:, 1:])).T
@@ -276,6 +293,8 @@ def _slope_steps(xy) -> np.ndarray:
 def _images(rs: RootSystem, proj: Projection) -> tuple:
     """The image array, its rows by increasing slope x/y, and the image line
     index 0, 1, ... per entry of that order; both None if an image has y = 0."""
+    import numpy as np
+
     xy = _image_array(rs, proj)
     x, y = xy.T
     if not y.all():
@@ -326,6 +345,8 @@ def positive_roots(rs: RootSystem, proj: Projection) -> frozenset:
 
 def class_ordering(rs: RootSystem, proj: Projection) -> ClassOrdering:
     """Group positive roots by ray and list the rays in clockwise order."""
+    import numpy as np
+
     images = _images(rs, proj)
     if not _is_generic(rs, proj, images):
         raise InvalidProjectionError("projection violates the genericity conditions")
@@ -357,6 +378,8 @@ def _ordering_arrays(ordering: ClassOrdering, rs: RootSystem) -> tuple:
     as class_ordering left them, or rebuilt from the fields in exact ints."""
     if ordering._arrays is not None:
         return ordering._arrays
+    import numpy as np
+
     classes = ordering.positive_classes
     return (np.array(ordering.root_images, dtype=object),
             np.array([(-1, 0), *ordering.class_rays, (1, 0)], dtype=object),
@@ -368,6 +391,8 @@ def _side_signs(images, rays) -> np.ndarray:
     """Sign of cross(ray, image) per boundary ray (row) and root (column): +1
     left of the ray, -1 right of it.  Row i is side-set index i, and the last
     row is +1 exactly on the positive roots."""
+    import numpy as np
+
     cross = np.outer(rays[:, 0], images[:, 1]) - np.outer(rays[:, 1], images[:, 0])
     return np.sign(cross).astype(np.int8)
 
@@ -392,6 +417,8 @@ _TRIPLE_CHUNK = 1024
 def _closed(sums, masks) -> np.ndarray:
     """Per row of the (m, n) bool `masks`: is that set of roots closed under
     the pair sums (a, b, a+b) of `sums`?"""
+    import numpy as np
+
     bits = np.packbits(masks.T, axis=1)   # per root, one bit per mask
     unclosed = np.zeros(bits.shape[1], dtype=np.uint8)
     for start in range(0, sums.shape[1], _TRIPLE_CHUNK):
@@ -402,6 +429,8 @@ def _closed(sums, masks) -> np.ndarray:
 
 def is_closed(roots, rs: RootSystem) -> bool:
     """True iff for all a, b in the set with a+b a root, a+b is in the set."""
+    import numpy as np
+
     rows = rs._tables.rows
     mask = np.zeros((1, len(rs.roots)), dtype=bool)
     for r in roots:
@@ -417,6 +446,8 @@ def is_closed(roots, rs: RootSystem) -> bool:
 
 def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantReport:
     """Machine-check every combinatorial claim about the clockwise classes."""
+    import numpy as np
+
     ordering = class_ordering(rs, proj)
     tables = rs._tables
     n = len(rs.roots)

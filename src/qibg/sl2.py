@@ -54,7 +54,8 @@ def gcd_transform(a: int, b: int) -> GcdTransform:
         p -= m
     q = (g - p * a) // b
     mat = ((p, q), (-(b // g), a // g))
-    assert p * a + q * b == g
+    if p * a + q * b != g:
+        raise AssertionError(f"Bezout identity fails for ({a}, {b})")
     return GcdTransform(mat, g)
 
 

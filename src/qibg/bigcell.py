@@ -179,7 +179,7 @@ def _check_unitriangular(u) -> tuple:
 def _peel(rows, positions, n):
     """Extract the left factor supported on `positions` (0-based, by height);
     closedness of the position set keeps the factor inside its support."""
-    acc = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
     for a, b in sorted(positions, key=lambda p: p[1] - p[0]):
         c = rows[a][b]
         if c:
@@ -191,9 +191,42 @@ def _peel(rows, positions, n):
     return tuple(map(tuple, acc))
 
 
+def _clear_denominators(u) -> tuple:
+    """(v, powers): v = D u D^-1 with D = diag(d^(n-1), ..., d, 1), d the least
+    common denominator of u, so v[r][c] = d^(c-r) * u[r][c] is an integer; and
+    powers[k] = d^k.  The conjugation scales each root subgroup by a nonzero
+    factor, so it keeps every support, and peeling commutes with it."""
+    n = len(u)
+    above = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row[r + 1:]]
+             for r, row in enumerate(u)]
+    d = math.lcm(*(e.denominator for row in above for e in row))
+    powers = [d ** k for k in range(n)]
+    v = []
+    for r, row in enumerate(above):
+        cleared = []
+        for k, e in enumerate(row, 1):
+            x, rest = divmod(e.numerator * powers[k], e.denominator)
+            if rest:
+                raise AssertionError("conjugated entry is not an integer")
+            cleared.append(x)
+        v.append([0] * r + [1] + cleared)
+    return v, powers
+
+
+def _restore_denominators(part, powers) -> tuple:
+    """D^-1 part D: entry (r, c) is x / d^(c-r), as a Fraction."""
+    return tuple(
+        tuple(_ONE if r == c else Fraction(x, powers[c - r]) if x else _ZERO
+              for c, x in enumerate(row))
+        for r, row in enumerate(part))
+
+
 def unipotent_class_split(u, ordering: ClassOrdering, i: int) -> UnipotentClassSplit:
     """Split an upper unitriangular matrix as left * mid * right along the
-    i-th clockwise class (1-based) of a standard A_{n-1} ordering."""
+    i-th clockwise class (1-based) of a standard A_{n-1} ordering.
+
+    The peel and its self-check run on the integer conjugate of u (see
+    `_clear_denominators`); Fractions are built only for the returned parts."""
     u = _check_unitriangular(u)
     n = len(u)
     positions = sl_block_positions(ordering)
@@ -203,17 +236,18 @@ def unipotent_class_split(u, ordering: ClassOrdering, i: int) -> UnipotentClassS
     if k != n * (n - 1) // 2 or any(b > n for _, b in positions):
         raise ValueError("ordering does not match the matrix dimension")
     pos0 = [(a - 1, b - 1) for a, b in positions]
-    rows = [[Fraction(e) for e in row] for row in u]
+    rows, powers = _clear_denominators(u)
+    v = tuple(map(tuple, rows))
     left = _peel(rows, pos0[: i - 1], n)
     mid = _peel(rows, pos0[i - 1: i], n)
-    right = tuple(tuple(row) for row in rows)
+    right = tuple(map(tuple, rows))
     _check_support(left, set(pos0[: i - 1]))
     _check_support(mid, set(pos0[i - 1: i]))
     _check_support(right, set(pos0[i:]))
-    if multiply(multiply(left, mid), right) != tuple(
-            tuple(Fraction(e) for e in row) for row in u):
+    if multiply(multiply(left, mid), right) != v:
         raise AssertionError("class split does not multiply back to the input")
-    return UnipotentClassSplit(left, mid, right)
+    return UnipotentClassSplit(*(_restore_denominators(part, powers)
+                                 for part in (left, mid, right)))
 
 
 def _check_support(mat, allowed) -> None:

@@ -17,7 +17,10 @@ carried by orderings are for reporting and drawing.
 
 numpy is imported inside the functions that build or read the arrays, so that
 importing qibg (decompose, bigcell, harness and cli import this module) does
-not load it: the column-major, verify and big-cell paths never touch an array.
+not load it.  The SL(n) path never touches an array: `sl_class_ordering`
+builds its A_{n-1} ordering from the closed form of the root images, so the
+column-major and clockwise strategies, campaigns and big-cell splits run
+without numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -513,22 +516,79 @@ def verify_notation_invariants(rs: RootSystem, proj: Projection) -> InvariantRep
 # --- bridge to SL(n) ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _sl_roots(n: int) -> tuple:
+    """(pairs, positive, classes) for A_{n-1}: (a, b) per root e_a - e_b of
+    build("A", n - 1), in its order; the pairs with a < b; and the class
+    (root,) of each of those."""
+    roots = build("A", n - 1).roots
+    pairs = tuple((r.index(1), r.index(-1)) for r in roots)
+    up = [i for i, (a, b) in enumerate(pairs) if a < b]
+    return pairs, tuple(map(pairs.__getitem__, up)), tuple((roots[i],) for i in up)
+
+
+def _turns(xs, ys) -> list:
+    """Cross product of each vector (x, y) with the next: positive where the
+    next lies strictly clockwise of it, for y > 0; zero where they are parallel."""
+    return list(map(operator.sub, map(operator.mul, xs[1:], ys), map(operator.mul, xs, ys[1:])))
+
+
+def _sl_clockwise(proj: Projection, pairs) -> tuple | None:
+    """(order, xs, ys): the roots e_a - e_b, (a, b) in `pairs`, as indices
+    into `pairs` by increasing slope x/y of their images (x, y) =
+    (u_a - u_b, w_a - w_b), and those images in that order; or None when two
+    slopes coincide.  This is the genericity test of the SL path.
+
+    For a w that decreases strictly, no root maps onto the real axis and each
+    a < b root maps above it, so root lines keep distinct image lines exactly
+    when those roots have distinct primitive rays, that is, distinct slopes;
+    and increasing slope is clockwise."""
+    u, w = proj.u, proj.w
+    xs = [u[a] - u[b] for a, b in pairs]
+    ys = [w[a] - w[b] for a, b in pairs]
+    order = sorted(range(len(pairs)), key=list(map(operator.truediv, xs, ys)).__getitem__)
+    ox, oy = [xs[i] for i in order], [ys[i] for i in order]
+    # Rounding keeps the order of two slopes or ties them, so the float sort is
+    # exact unless a neighbour turns back; an exact sort then settles the order.
+    turns = _turns(ox, oy)
+    if min(turns, default=1) < 0 and 0 not in turns:
+        order.sort(key=cmp_to_key(lambda i, j: xs[i] * ys[j] - xs[j] * ys[i]))
+        ox, oy = [xs[i] for i in order], [ys[i] for i in order]
+        turns = _turns(ox, oy)
+    if 0 in turns:   # two neighbours share a slope
+        return None
+    return order, ox, oy
+
+
 def sl_class_ordering(n: int, seed: int = 0) -> ClassOrdering:
     """Clockwise ordering for A_{n-1} whose positive system is the standard one
-    (e_a - e_b positive iff a < b), as needed to index SL(n) matrix positions."""
+    (e_a - e_b positive iff a < b), as needed to index SL(n) matrix positions.
+
+    It is the ordering `class_ordering` gives for the first valid projection
+    drawn, built from the closed form (u_a - u_b, w_a - w_b) of the image of
+    e_a - e_b, with no array.  tests/test_rootsys.py holds the two equal:
+    test_sl_class_ordering_matches_class_ordering, and
+    test_sl_class_ordering_keeps_the_draw_order_past_rejected_tries past
+    rejected draws; test_sl_class_ordering_matches_recorded_orderings pins
+    digests recorded from the array path up to n = 64."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rs = build("A", n - 1)
+    pairs, positive, classes = _sl_roots(n)
     rng = random.Random(seed)
     for _ in range(10_000):
         w = sorted((rng.randint(1, 10 ** 6) for _ in range(n)), reverse=True)
         if len(set(w)) != n:
             continue
         u = tuple(rng.randint(-1000, 1000) for _ in range(n))
-        try:
-            return class_ordering(rs, Projection(u, tuple(w)))
-        except InvalidProjectionError:
+        found = _sl_clockwise(Projection(u, tuple(w)), positive)
+        if found is None:
             continue
+        order, xs, ys = found
+        gs = list(map(math.gcd, xs, ys))
+        rx, ry = list(map(operator.floordiv, xs, gs)), list(map(operator.floordiv, ys, gs))
+        return ClassOrdering(tuple([classes[j] for j in order]),
+                             tuple(map(math.atan2, ry, rx)), tuple(zip(rx, ry)),
+                             tuple([(u[a] - u[b], w[a] - w[b]) for a, b in pairs]))
     raise InvalidProjectionError("could not sample a standard ordering; this indicates a bug")
 
 

@@ -379,6 +379,15 @@ def test_split_matches_dense_reassembly(case):
     assert em.multiply(em.multiply(*parts[:2]), parts[2]) == F(u)
 
 
+def test_split_checks_that_its_conjugate_is_integral(monkeypatch):
+    ordering = rt.sl_class_ordering(3, seed=1)
+    u = ((1, Fraction(1, 2), Fraction(1, 3)), (0, 1, Fraction(1, 6)), (0, 0, 1))
+    # a common denominator that does not clear u leaves a remainder
+    monkeypatch.setattr(bc.math, "lcm", lambda *args: 2)
+    with pytest.raises(AssertionError, match="not an integer"):
+        bc.unipotent_class_split(u, ordering, 2)
+
+
 def test_split_rejects_non_unitriangular():
     ordering = rt.sl_class_ordering(3, seed=1)
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ def run_fresh(code: str, *args, flags=()):
 
 NUMPY_FREE_PATHS = """
     import hashlib, json, sys
+    from fractions import Fraction
     from pathlib import Path
 
     import qibg, qibg.cli
@@ -48,13 +49,22 @@ NUMPY_FREE_PATHS = """
     assert bigcell.in_big_cell(m)
     assert bigcell.corner_minors(m) == (1, 1)
     assert bigcell.denominator_and_norm_check(m).all_ok
-    assert "numpy" not in sys.modules, "a numpy-free path loaded numpy"
 
     word = exactmat.random_word(5, 30, 4)
     fac = decompose.decompose_clockwise(word)
     digest = hashlib.sha256(json.dumps(decompose.factorization_to_json(fac),
                                        sort_keys=True).encode()).hexdigest()
     assert digest == "a28d0a36099452cad7584d2c82934d153eb70eda76c05a534816fbe1bbceb2a7"
+    comparison = harness.compare_strategies(harness.CampaignConfig(4, (5, 10), 2, 3))
+    assert comparison.all_verified and len(comparison.samples) == 4
+    ordering = rootsys.sl_class_ordering(6)
+    assert len(ordering.positive_classes) == 15
+    u = ((1, Fraction(1, 2), Fraction(-2, 3)), (0, 1, Fraction(5, 6)), (0, 0, 1))
+    split = bigcell.unipotent_class_split(u, rootsys.sl_class_ordering(3), 2)
+    assert exactmat.multiply(exactmat.multiply(split.left_part, split.mid_part),
+                             split.right_part) == u
+    assert "numpy" not in sys.modules, "a numpy-free path loaded numpy"
+
     rs = rootsys.build("E8", 8)
     report = rootsys.verify_notation_invariants(rs, rootsys.sample_projection(rs, 1))
     assert report.all_ok and report.class_count == 120 and report.failures == ()

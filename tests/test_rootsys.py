@@ -459,10 +459,13 @@ def test_sl_class_ordering_is_standard():
 
 
 # sha256 prefixes of repr((positive_classes, class_rays, root_images, angles)),
-# recorded from the implementation that validated each accepted projection twice
+# recorded from the implementation that validated each accepted projection
+# twice; the n = 32 and 64 entries from the one that sent every draw through
+# class_ordering
 SL_ORDERING_DIGESTS = {
     (2, 0): "9046dd7d444626c1", (3, 1): "98988ee4c3eb3351", (5, 7): "98f1c02383539a3c",
     (6, 3): "3179f43fb7b075ce", (9, 11): "bae68390c6dfbd48", (16, 5): "5b441f0a2daab82e",
+    (32, 13): "1ba5833813a517ad", (64, 2): "86fca0667d9eb8e7",
 }
 
 
@@ -487,32 +490,52 @@ def _sl_ordering_reference(n, seed):
             return rt.class_ordering(rs, proj)
 
 
-def _with_rejections(monkeypatch, sample, n, seed):
-    """Run sample(n, seed) with the first three validity tests failing; return
-    its ordering and every projection the validity test saw."""
-    generic = rt._is_generic
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sl_class_ordering_matches_class_ordering(n):
+    for seed in range(50):
+        assert rt.sl_class_ordering(n, seed) == _sl_ordering_reference(n, seed)
+
+
+def _with_rejections(monkeypatch, test, rejected, sample, n, seed):
+    """Run sample(n, seed) with the first three calls of the validity test
+    rt.<test> returning `rejected`; return its ordering and the projection
+    of every call of the test."""
+    real = getattr(rt, test)
     seen = []
 
-    def flaky(rs, proj, images):
-        seen.append(proj)
-        return len(seen) > 3 and generic(rs, proj, images)
+    def flaky(*args):
+        seen.append(next(a for a in args if isinstance(a, rt.Projection)))
+        return real(*args) if len(seen) > 3 else rejected
 
-    monkeypatch.setattr(rt, "_is_generic", flaky)
+    monkeypatch.setattr(rt, test, flaky)
     try:
         return sample(n, seed), seen
     finally:
-        monkeypatch.setattr(rt, "_is_generic", generic)
+        monkeypatch.setattr(rt, test, real)
 
 
 def test_sl_class_ordering_keeps_the_draw_order_past_rejected_tries(monkeypatch):
-    # random projections of A_{n-1} are practically never rejected, so the
-    # retry path is forced
+    # random projections of small A_{n-1} are practically never rejected, so
+    # the retry path is forced, in the SL path's genericity test and in the
+    # reference's
     for n, seed in ((3, 0), (4, 9), (6, 2)):
-        got, seen = _with_rejections(monkeypatch, rt.sl_class_ordering, n, seed)
-        want, want_seen = _with_rejections(monkeypatch, _sl_ordering_reference, n, seed)
+        got, seen = _with_rejections(monkeypatch, "_sl_clockwise", None,
+                                     rt.sl_class_ordering, n, seed)
+        want, want_seen = _with_rejections(monkeypatch, "_is_generic", False,
+                                           _sl_ordering_reference, n, seed)
         assert got == want and got != rt.sl_class_ordering(n, seed)
-        # the accepted projection is validated once, not once more by class_ordering
+        # the accepted projection is validated once; the reference validates
+        # it again in class_ordering
         assert seen == want_seen[:4] and len(seen) == 4 and len(want_seen) == 5
+
+
+def test_sl_clockwise_sorts_slopes_that_floats_tie():
+    # 2**53 + 1 and 2**53 round to the same float: only the exact pass orders them
+    pairs = ((0, 1), (1, 2))
+    proj = rt.Projection((2 ** 54 + 1, 2 ** 53, 0), (2, 1, 0))
+    assert rt._sl_clockwise(proj, pairs) == ([1, 0], [2 ** 53, 2 ** 53 + 1], [1, 1])
+    # equal slopes: the projection is not generic
+    assert rt._sl_clockwise(rt.Projection((4, 2, 0), (2, 1, 0)), pairs) is None
 
 
 def test_sl_block_positions_rejects_nonstandard():
